@@ -31,11 +31,12 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/sweep
 
-# Parallel-vs-serial determinism proof: every sweep-converted driver and
+# Parallel-vs-serial determinism proof: every registered figure driver and
 # the replication helper must produce identical results and byte-identical
-# CSV artifacts for workers 1, 4, and 8 (quick horizons); the dsweep
-# fabric additionally proves shards 1/2/4/8 and kill+resume byte-identical
-# to the in-process path.
+# CSV artifacts for workers 1, 4, and 8 (quick horizons), and every driver
+# must match through the sharding adapter's encoded records; four drivers
+# additionally prove shards 1/2/4/8 and kill+resume byte-identical to the
+# in-process path.
 equivalence:
 	$(GO) test -run 'TestSweepWorkerEquivalence|TestSweepProgressTotals|TestReplicateWorkerEquivalence|TestDistShardEquivalence|TestDistKillResumeEquivalence' -v ./internal/figures ./internal/core
 

@@ -30,10 +30,14 @@ func benchOpts() figures.Options {
 
 // BenchmarkFig2TailAmplification regenerates Figure 2: per-tier percentile
 // response times under MemCA in both cloud environments. Reported metrics:
-// client p95/p98 in milliseconds per environment.
+// client p95/p98 in milliseconds per environment. It runs on one worker:
+// the allocation contract in bench/baseline.json is pinned at a declared
+// worker count, so it reads the same on any machine.
 func BenchmarkFig2TailAmplification(b *testing.B) {
+	opts := benchOpts()
+	opts.Parallel = 1
 	for i := 0; i < b.N; i++ {
-		res, err := figures.Fig2(benchOpts())
+		res, err := figures.Fig2(opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -46,14 +46,11 @@ func maybeRunWorker() (bool, error) {
 	})
 }
 
-// distDriversFor maps a -fig target to dist driver names.
+// distDriversFor maps a -fig target to registered dist driver names: a
+// figure number N is driver "figN", "ablations" every "ablation-*"
+// driver, and any other target the driver of the same name.
 func distDriversFor(fig string) ([]string, error) {
-	switch fig {
-	case "2":
-		return []string{"fig2"}, nil
-	case "planner":
-		return []string{"planner"}, nil
-	case "ablations":
+	if fig == "ablations" {
 		var names []string
 		for _, n := range figures.DistDrivers() {
 			if strings.HasPrefix(n, "ablation-") {
@@ -61,9 +58,15 @@ func distDriversFor(fig string) ([]string, error) {
 			}
 		}
 		return names, nil
-	default:
-		return nil, fmt.Errorf("distributed mode (-shards/-manifest-out) supports -fig 2, planner, or ablations; for anything else use the in-process path")
 	}
+	name := fig
+	if _, err := strconv.Atoi(fig); err == nil {
+		name = "fig" + fig
+	}
+	if _, ok := figures.LookupDist(name); !ok {
+		return nil, fmt.Errorf("distributed mode (-shards/-manifest-out) has no driver for -fig %s (registered: %v); use the in-process path", fig, figures.DistDrivers())
+	}
+	return []string{name}, nil
 }
 
 // runDistributedBench handles -shards > 1 and -manifest-out: it builds

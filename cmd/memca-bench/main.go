@@ -38,7 +38,7 @@ func run() error {
 		quick       = flag.Bool("quick", false, "shorter horizons for a smoke run")
 		seed        = flag.Int64("seed", 1, "simulation seed")
 		parallel    = flag.Int("parallel", runtime.NumCPU(), "worker count for a driver's independent runs (1 = serial; artifacts are identical either way)")
-		shards      = flag.Int("shards", 1, "run -fig 2, planner, or ablations sharded over this many worker subprocesses (artifacts are byte-identical to -shards 1)")
+		shards      = flag.Int("shards", 1, "run -fig sharded over this many worker subprocesses, for every figure with a dist driver (artifacts are byte-identical to -shards 1)")
 		manifestOut = flag.String("manifest-out", "", "write dsweep manifests for -fig into this directory and exit (run them with memca-sweep)")
 	)
 	flag.Parse()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"memca/internal/attack"
@@ -58,7 +59,7 @@ func NewExperiment(cfg Config) (*Experiment, error) {
 	}
 	x.platform = cloud.NewPlatform()
 	for i, name := range tierNames {
-		if _, err := x.platform.AddHost(fmt.Sprintf("host%d", i+1), hostCfg); err != nil {
+		if _, err := x.platform.AddHost(hostName(i), hostCfg); err != nil {
 			return nil, fmt.Errorf("core: adding host for %s: %w", name, err)
 		}
 	}
@@ -67,7 +68,7 @@ func NewExperiment(cfg Config) (*Experiment, error) {
 		instType = cloud.PrivateCloudVM()
 	}
 	for i, name := range tierNames {
-		if err := x.platform.Place(name, fmt.Sprintf("host%d", i+1), instType, 0); err != nil {
+		if err := x.platform.Place(name, hostName(i), instType, 0); err != nil {
 			return nil, fmt.Errorf("core: placing %s: %w", name, err)
 		}
 	}
@@ -182,10 +183,14 @@ func tierLabels(tiers []queueing.TierConfig) []string {
 	return names
 }
 
+// hostName labels the i-th tier's host. Names are built without fmt, whose
+// pooled printers make a run's allocation count depend on GOMAXPROCS.
+func hostName(i int) string { return "host" + strconv.Itoa(i+1) }
+
 func (x *Experiment) wireAttack(spec AttackSpec) error {
 	adversaries := make([]string, 0, spec.AdversaryVMs)
 	for i := 0; i < spec.AdversaryVMs; i++ {
-		id := fmt.Sprintf("adversary%d", i+1)
+		id := "adversary" + strconv.Itoa(i+1)
 		if err := x.platform.CoLocate(id, "mysql", cloud.PrivateCloudVM(), 0); err != nil {
 			return fmt.Errorf("core: co-locating %s: %w", id, err)
 		}

@@ -3,10 +3,9 @@ package figures
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
-	"memca/internal/analytical"
-	"memca/internal/attack"
 	"memca/internal/core"
 	"memca/internal/memmodel"
 	"memca/internal/queueing"
@@ -79,93 +78,79 @@ type attackVariant struct {
 	mutate func(*core.Config)
 }
 
-// newVariantRun builds the DistRun for a closed-loop ablation sweep: one
-// job per variant, each an AblationPoint record; the finalizer assembles
-// the result in variant order and writes the sweep's CSV. AblationPoint
-// has no map fields, so its gob encoding is stable (see encodeRecord).
-func newVariantRun(opts Options, name, csv string, variants []attackVariant) *DistRun {
-	return &DistRun{
-		Jobs: len(variants),
-		Job: func(a *stats.Arena, i int) ([]byte, error) {
-			p, err := runAttackVariant(opts, a, variants[i].label, variants[i].mutate)
-			if err != nil {
-				return nil, err
-			}
-			return encodeRecord(p)
-		},
-		Finalize: newAblationFinalize(opts, name, csv),
+// variantJob returns the job of a closed-loop ablation sweep: one run per
+// variant, each an AblationPoint record. AblationPoint has no map
+// fields, so its gob encoding is stable (see encodeRecord).
+func variantJob(name string, variants func() []attackVariant) func(Options) (*job[AblationPoint], error) {
+	return func(opts Options) (*job[AblationPoint], error) {
+		vs := variants()
+		return &job[AblationPoint]{
+			n: len(vs),
+			run: func(a *stats.Arena, i int) (AblationPoint, error) {
+				return runAttackVariant(opts, a, vs[i].label, vs[i].mutate)
+			},
+			finalize: ablationFinalize(opts, name),
+		}, nil
 	}
 }
 
-// newAblationFinalize decodes AblationPoint records in variant order,
-// writes the sweep CSV, and summarizes the damage range.
-func newAblationFinalize(opts Options, name, csv string) func([][]byte) (any, string, error) {
-	return func(payloads [][]byte) (any, string, error) {
-		res := &AblationResult{Name: name, Points: make([]AblationPoint, len(payloads))}
-		for i, data := range payloads {
-			if err := decodeRecord(data, &res.Points[i]); err != nil {
-				return nil, "", err
-			}
-		}
-		if err := writeAblation(opts, csv, res); err != nil {
-			return nil, "", err
-		}
+// ablationFinalize assembles AblationPoint records in variant order into
+// the sweep's result, writes ablation_<name>.csv, and summarizes the
+// damage range.
+func ablationFinalize(opts Options, name string) func([]AblationPoint) (any, string, error) {
+	return func(points []AblationPoint) (any, string, error) {
+		res := &AblationResult{Name: name, Points: points}
 		lo, hi := time.Duration(0), time.Duration(0)
-		for i, p := range res.Points {
+		rows := make([][]string, 0, len(points))
+		for i, p := range points {
 			if i == 0 || p.ClientP95 < lo {
 				lo = p.ClientP95
 			}
-			if p.ClientP95 > hi {
-				hi = p.ClientP95
-			}
+			hi = max(hi, p.ClientP95)
+			rows = append(rows, []string{
+				p.Label,
+				strconv.FormatFloat(p.ClientP95.Seconds()*1000, 'f', 1, 64),
+				strconv.FormatFloat(p.ClientP99.Seconds()*1000, 'f', 1, 64),
+				strconv.FormatFloat(p.CoarseUtil, 'f', 4, 64),
+				strconv.FormatUint(p.Drops, 10),
+			})
 		}
-		summary := fmt.Sprintf("ablation %s: %d points, client p95 %v..%v", name, len(res.Points), lo, hi)
+		summary := fmt.Sprintf("ablation %s: %d points, client p95 %v..%v", name, len(points), lo, hi)
+		if path := opts.path("ablation_" + strings.ReplaceAll(name, "-", "_") + ".csv"); path != "" {
+			header := []string{"config", "client_p95_ms", "client_p99_ms", "coarse_util", "drops"}
+			return res, summary, trace.WriteCSV(path, header, rows)
+		}
 		return res, summary, nil
 	}
 }
 
-// The closed-loop ablation sweeps, as (name, csv, variant builder)
-// rows; each registers a dist driver named "ablation-<name>" and backs
-// the corresponding Ablation* function.
-var ablationSweeps = []struct {
-	name     string
-	csv      string
-	variants func() []attackVariant
-}{
-	{"burst-length", "ablation_burst_length.csv", burstLengthVariants},
-	{"interval", "ablation_interval.csv", intervalVariants},
-	{"adversaries", "ablation_adversaries.csv", adversariesVariants},
-	{"load", "ablation_load.csv", loadVariants},
-	{"service-distribution", "ablation_service_distribution.csv", serviceDistributionVariants},
+// ablationJobs holds the ablation sweeps by name; each registers a dist
+// driver named "ablation-<name>" and backs the corresponding Ablation*
+// function.
+var ablationJobs = map[string]func(Options) (*job[AblationPoint], error){
+	"burst-length":         variantJob("burst-length", burstLengthVariants),
+	"interval":             variantJob("interval", intervalVariants),
+	"adversaries":          variantJob("adversaries", adversariesVariants),
+	"load":                 variantJob("load", loadVariants),
+	"service-distribution": variantJob("service-distribution", serviceDistributionVariants),
+	"mechanisms":           newMechanismsJob,
 }
 
 func init() {
-	for _, ab := range ablationSweeps {
-		ab := ab
-		registerDist(DistDriver{
-			Name: "ablation-" + ab.name,
-			New: func(o Options) (*DistRun, error) {
-				return newVariantRun(o, ab.name, ab.csv, ab.variants()), nil
-			},
-		})
+	for name, prepare := range ablationJobs {
+		register("ablation-"+name, prepare)
 	}
-	registerDist(DistDriver{Name: "ablation-mechanisms", New: newMechanismsRun})
 }
 
-// runAblation executes one registered ablation driver fully in-process.
-func runAblation(driver string, opts Options) (*AblationResult, error) {
-	res, _, err := runDistLocal(driver, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.(*AblationResult), nil
+// runAblation executes one ablation sweep fully in-process.
+func runAblation(name string, opts Options) (*AblationResult, error) {
+	return runFigure[*AblationResult](opts, ablationJobs[name])
 }
 
 // burstLengthVariants sweeps the burst length L at fixed I = 2 s.
 func burstLengthVariants() []attackVariant {
 	var variants []attackVariant
 	for _, l := range []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 350 * time.Millisecond, 500 * time.Millisecond, 800 * time.Millisecond} {
-		l := l
 		variants = append(variants, attackVariant{fmt.Sprintf("L=%v", l), func(c *core.Config) {
 			c.Attack.Params.BurstLength = l
 		}})
@@ -178,14 +163,13 @@ func burstLengthVariants() []attackVariant {
 // never complete the build-up stage (no damage); long bursts raise the
 // coarse utilization toward detectability.
 func AblationBurstLength(opts Options) (*AblationResult, error) {
-	return runAblation("ablation-burst-length", opts)
+	return runAblation("burst-length", opts)
 }
 
 // intervalVariants sweeps the burst interval I at fixed L = 500 ms.
 func intervalVariants() []attackVariant {
 	var variants []attackVariant
 	for _, iv := range []time.Duration{time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second} {
-		iv := iv
 		variants = append(variants, attackVariant{fmt.Sprintf("I=%v", iv), func(c *core.Config) {
 			c.Attack.Params.Interval = iv
 		}})
@@ -196,14 +180,13 @@ func intervalVariants() []attackVariant {
 // AblationInterval sweeps the burst interval I at fixed L = 500 ms: the
 // frequency axis of Equation (8), ρ = P_D / I.
 func AblationInterval(opts Options) (*AblationResult, error) {
-	return runAblation("ablation-interval", opts)
+	return runAblation("interval", opts)
 }
 
-// newMechanismsRun prepares the mechanism-removal ablation, which uses
+// newMechanismsJob prepares the mechanism-removal ablation, which uses
 // the model-level network (open-loop arrivals) so the mechanisms can be
 // toggled independently of the closed-loop client population.
-func newMechanismsRun(opts Options) (*DistRun, error) {
-	d, params := fig6Attack()
+func newMechanismsJob(opts Options) (*job[AblationPoint], error) {
 	horizon := opts.duration(2 * time.Minute)
 
 	type variant struct {
@@ -218,28 +201,29 @@ func newMechanismsRun(opts Options) (*DistRun, error) {
 		{"infinite-queues", queueing.ModeNTierRPC, true, false},
 		{"no-slot-holding", queueing.ModeTandem, true, false},
 	}
-	m := rubbosModelLimits()
-	return &DistRun{
-		Jobs: len(variants),
-		Job: func(a *stats.Arena, i int) ([]byte, error) {
+	tiers := workload.RUBBoSTiers()
+	m := [3]int{tiers[0].QueueLimit, tiers[1].QueueLimit, tiers[2].QueueLimit}
+	return &job[AblationPoint]{
+		n: len(variants),
+		run: func(a *stats.Arena, i int) (AblationPoint, error) {
 			v := variants[i]
 			limits := m
 			if v.infinite {
 				limits = [3]int{queueing.Infinite, queueing.Infinite, queueing.Infinite}
 			}
 			e := sim.NewEngine(opts.Seed)
-			n, sources, err := buildModelNetwork(e, a, v.mode, limits, v.retransmit)
+			n, sources, err := modelNetwork(e, a, v.mode, limits, v.retransmit)
 			if err != nil {
-				return nil, fmt.Errorf("figures: ablation %s: %w", v.label, err)
+				return AblationPoint{}, fmt.Errorf("figures: ablation %s: %w", v.label, err)
 			}
-			point, err := runModelAttack(e, n, sources, d, params, horizon)
+			point, err := runModelAttack(e, n, sources, horizon)
 			if err != nil {
-				return nil, fmt.Errorf("figures: ablation %s: %w", v.label, err)
+				return AblationPoint{}, fmt.Errorf("figures: ablation %s: %w", v.label, err)
 			}
 			point.Label = v.label
-			return encodeRecord(point)
+			return point, nil
 		},
-		Finalize: newAblationFinalize(opts, "mechanisms", "ablation_mechanisms.csv"),
+		finalize: ablationFinalize(opts, "mechanisms"),
 	}, nil
 }
 
@@ -254,20 +238,18 @@ func newMechanismsRun(opts Options) (*DistRun, error) {
 //     remains;
 //   - "no-slot-holding": tandem coupling — overflow cannot propagate.
 func AblationMechanisms(opts Options) (*AblationResult, error) {
-	return runAblation("ablation-mechanisms", opts)
+	return runAblation("mechanisms", opts)
 }
 
 // adversariesVariants sweeps the co-located adversary VM count.
 func adversariesVariants() []attackVariant {
 	var variants []attackVariant
 	for _, k := range []int{1, 2, 4} {
-		k := k
 		variants = append(variants, attackVariant{fmt.Sprintf("lock-x%d", k), func(c *core.Config) {
 			c.Attack.AdversaryVMs = k
 		}})
 	}
 	for _, k := range []int{1, 4} {
-		k := k
 		variants = append(variants, attackVariant{fmt.Sprintf("saturation-x%d", k), func(c *core.Config) {
 			c.Attack.Kind = memmodel.AttackBusSaturation
 			c.Attack.AdversaryVMs = k
@@ -280,14 +262,13 @@ func adversariesVariants() []attackVariant {
 // the bus-saturation attack (the lock attack needs only one, which is the
 // paper's point; saturation needs many to bite).
 func AblationAdversaries(opts Options) (*AblationResult, error) {
-	return runAblation("ablation-adversaries", opts)
+	return runAblation("adversaries", opts)
 }
 
 // loadVariants sweeps the legitimate client population.
 func loadVariants() []attackVariant {
 	var variants []attackVariant
 	for _, clients := range []int{875, 1750, 3500, 5000} {
-		clients := clients
 		variants = append(variants, attackVariant{fmt.Sprintf("clients=%d", clients), func(c *core.Config) {
 			c.Clients = clients
 		}})
@@ -299,7 +280,7 @@ func loadVariants() []attackVariant {
 // (λ_n > C_n,ON) needs enough background load for the degraded bottleneck
 // to overflow, so a lightly loaded system resists the same attack.
 func AblationLoad(opts Options) (*AblationResult, error) {
-	return runAblation("ablation-load", opts)
+	return runAblation("load", opts)
 }
 
 // serviceDistributionVariants swaps the per-tier service-time
@@ -318,7 +299,6 @@ func serviceDistributionVariants() []attackVariant {
 	means := []time.Duration{600 * time.Microsecond, 1200 * time.Microsecond, 1600 * time.Microsecond}
 	cells := make([]attackVariant, 0, len(variants))
 	for _, v := range variants {
-		v := v
 		cells = append(cells, attackVariant{v.label, func(c *core.Config) {
 			tiers := make([]queueing.TierConfig, len(base))
 			copy(tiers, base)
@@ -337,79 +317,19 @@ func serviceDistributionVariants() []attackVariant {
 // assumption because it is driven by capacity starvation and drops, not
 // by service-time variance.
 func AblationServiceDistribution(opts Options) (*AblationResult, error) {
-	return runAblation("ablation-service-distribution", opts)
-}
-
-func writeAblation(opts Options, name string, res *AblationResult) error {
-	path := opts.path(name)
-	if path == "" {
-		return nil
-	}
-	rows := make([][]string, 0, len(res.Points))
-	for _, p := range res.Points {
-		rows = append(rows, []string{
-			p.Label,
-			strconv.FormatFloat(p.ClientP95.Seconds()*1000, 'f', 1, 64),
-			strconv.FormatFloat(p.ClientP99.Seconds()*1000, 'f', 1, 64),
-			strconv.FormatFloat(p.CoarseUtil, 'f', 4, 64),
-			strconv.FormatUint(p.Drops, 10),
-		})
-	}
-	return trace.WriteCSV(path, []string{"config", "client_p95_ms", "client_p99_ms", "coarse_util", "drops"}, rows)
-}
-
-// rubbosModelLimits returns the analytical model's queue limits.
-func rubbosModelLimits() [3]int {
-	tiers := workload.RUBBoSTiers()
-	return [3]int{tiers[0].QueueLimit, tiers[1].QueueLimit, tiers[2].QueueLimit}
-}
-
-// buildModelNetwork is modelNetwork with a retransmission toggle.
-func buildModelNetwork(e *sim.Engine, a *stats.Arena, mode queueing.Mode, limits [3]int, retransmit bool) (*queueing.Network, []*queueing.Source, error) {
-	n, sources, err := modelNetwork(e, a, mode, limits)
-	if err != nil {
-		return nil, nil, err
-	}
-	if retransmit {
-		return n, sources, nil
-	}
-	// Rebuild sources without retransmission (the originals were never
-	// started, so they generate no arrivals).
-	plain := make([]*queueing.Source, 0, len(sources))
-	for i, t := range analytical.RUBBoS3Tier().Tiers {
-		if t.ArrivalRate <= 0 {
-			continue
-		}
-		src, err := queueing.NewPoissonSource(n, queueing.SourceConfig{Class: i, Rate: t.ArrivalRate})
-		if err != nil {
-			return nil, nil, err
-		}
-		plain = append(plain, src)
-	}
-	return n, plain, nil
+	return runAblation("service-distribution", opts)
 }
 
 // runModelAttack drives an open-loop model network under ON-OFF bursts
 // and summarizes client damage.
-func runModelAttack(e *sim.Engine, n *queueing.Network, sources []*queueing.Source, d float64, params attack.Params, horizon time.Duration) (AblationPoint, error) {
-	inj, err := attack.NewDirectInjector(n, 2, d)
+func runModelAttack(e *sim.Engine, n *queueing.Network, sources []*queueing.Source, horizon time.Duration) (AblationPoint, error) {
+	b, err := startModelAttack(e, n, sources)
 	if err != nil {
 		return AblationPoint{}, err
 	}
-	b, err := attack.NewBurster(e, inj, params)
-	if err != nil {
-		return AblationPoint{}, err
-	}
-	for _, s := range sources {
-		s.Start()
-	}
-	e.Run(5 * time.Second)
 	b.Start()
 	e.Run(5*time.Second + horizon)
-	b.Stop()
-	for _, s := range sources {
-		s.Stop()
-	}
+	stopModelAttack(b, sources)
 	if err := e.RunAll(200_000_000); err != nil {
 		return AblationPoint{}, err
 	}

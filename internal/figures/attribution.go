@@ -2,9 +2,11 @@ package figures
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"memca/internal/core"
+	"memca/internal/stats"
 	"memca/internal/telemetry"
 )
 
@@ -35,14 +37,23 @@ type AttributionResult struct {
 	AttackedTailTraces int
 }
 
-// attributionRun is one job's distilled output.
-type attributionRun struct {
-	p99       time.Duration
-	tail      []telemetry.Attribution
-	breakdown telemetry.Breakdown
-	blindness float64
-	timelines []*telemetry.Timeline
-	tierNames []string
+// attributionRecord is one run's distilled output. Tail holds deep
+// copies of the tracer's tail sample, and Timelines copies of its
+// dual-resolution timelines.
+type attributionRecord struct {
+	P99       time.Duration
+	Tail      []telemetry.Attribution
+	Breakdown telemetry.Breakdown
+	Blindness float64
+	Timelines []timelineCopy
+	TierNames []string
+}
+
+// timelineCopy is a timeline copied out of a finished run's tracer in the
+// exported form a job record carries.
+type timelineCopy struct {
+	Res, Base time.Duration
+	Points    []telemetry.TimelinePoint
 }
 
 // attributionResolutions are the dual monitoring resolutions contrasted by
@@ -50,19 +61,20 @@ type attributionRun struct {
 // floor of typical cloud monitoring.
 var attributionResolutions = []time.Duration{50 * time.Millisecond, time.Second}
 
-// FigAttribution runs the attacked and baseline RUBBoS experiments with
-// per-request tracing and decomposes each run's >=p99 latency tail along
-// its critical path. It writes a component-share CSV, per-trace tail
-// attributions, and the dual-resolution timelines for both runs.
-func FigAttribution(opts Options) (*AttributionResult, error) {
+func init() { register("attribution", newAttributionJob) }
+
+// newAttributionJob prepares the attribution experiment: the attacked and
+// the baseline run, each traced per request.
+func newAttributionJob(opts Options) (*job[attributionRecord], error) {
 	if err := checkTiersMatch(); err != nil {
 		return nil, err
 	}
 	attacked := []bool{true, false}
-	runs, err := runJobs(opts, len(attacked), func(i int) (*attributionRun, error) {
+	run := func(a *stats.Arena, i int) (attributionRecord, error) {
 		cfg := core.DefaultConfig()
 		cfg.Seed = opts.Seed
 		cfg.Duration = opts.duration(3 * time.Minute)
+		cfg.Arena = a
 		if !attacked[i] {
 			cfg.Attack = nil
 		}
@@ -72,69 +84,80 @@ func FigAttribution(opts Options) (*AttributionResult, error) {
 		cfg.Trace = &spec
 		x, err := core.NewExperiment(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("figures: attribution attacked=%v: %w", attacked[i], err)
+			return attributionRecord{}, fmt.Errorf("figures: attribution attacked=%v: %w", attacked[i], err)
 		}
 		rep, err := x.Run()
 		if err != nil {
-			return nil, fmt.Errorf("figures: attribution attacked=%v run: %w", attacked[i], err)
+			return attributionRecord{}, fmt.Errorf("figures: attribution attacked=%v run: %w", attacked[i], err)
 		}
 		tr := x.Tracer()
-		run := &attributionRun{
-			p99:       rep.Client.P99,
-			tail:      tr.TailAttributions(),
-			timelines: tr.Timelines(),
-			tierNames: tr.TierNames(),
+		rec := attributionRecord{
+			P99:       rep.Client.P99,
+			Tail:      tr.TailAttributions(),
+			TierNames: slices.Clone(tr.TierNames()),
+		}
+		for _, tl := range tr.Timelines() {
+			rec.Timelines = append(rec.Timelines, timelineCopy{tl.Res, tl.Base(), slices.Clone(tl.Points())})
 		}
 		// Summarize only the traces at or above the run's own p99: the
 		// slowest-N sample reaches deeper, but the claim is about the tail
 		// percentile the paper reports.
-		over := run.tail[:0:0]
-		for j := range run.tail {
-			if run.tail[j].RT >= run.p99 {
-				over = append(over, run.tail[j])
+		over := rec.Tail[:0:0]
+		for j := range rec.Tail {
+			if rec.Tail[j].RT >= rec.P99 {
+				over = append(over, rec.Tail[j])
 			}
 		}
-		run.breakdown = telemetry.Summarize(len(run.tierNames), over)
-		run.blindness = telemetry.BlindnessRatio(
+		rec.Breakdown = telemetry.Summarize(len(rec.TierNames), over)
+		rec.Blindness = telemetry.BlindnessRatio(
 			tr.Timeline(attributionResolutions[0]), tr.Timeline(attributionResolutions[1]))
-		return run, nil
-	})
-	if err != nil {
-		return nil, err
+		return rec, nil
 	}
-
-	att, base := runs[0], runs[1]
-	res := &AttributionResult{
-		AttackedP99:          att.p99,
-		BaselineP99:          base.p99,
-		AttackedWaitShare:    att.breakdown.WaitShare(),
-		AttackedRetransShare: share(att.breakdown.RetransWait, att.breakdown.RT),
-		BaselineServiceShare: base.breakdown.ServiceShare(),
-		AttackedBlindness:    att.blindness,
-		BaselineBlindness:    base.blindness,
-		AttackedTailTraces:   att.breakdown.Count,
-	}
-
-	if opts.OutDir != "" {
+	finalize := func(runs []attributionRecord) (any, string, error) {
+		att, base := runs[0], runs[1]
+		res := &AttributionResult{
+			AttackedP99:          att.P99,
+			BaselineP99:          base.P99,
+			AttackedWaitShare:    att.Breakdown.WaitShare(),
+			AttackedRetransShare: share(att.Breakdown.RetransWait, att.Breakdown.RT),
+			BaselineServiceShare: base.Breakdown.ServiceShare(),
+			AttackedBlindness:    att.Blindness,
+			BaselineBlindness:    base.Blindness,
+			AttackedTailTraces:   att.Breakdown.Count,
+		}
+		summary := fmt.Sprintf("attribution: attacked p99 %v (baseline %v), wait share %.3f", res.AttackedP99, res.BaselineP99, res.AttackedWaitShare)
+		if opts.OutDir == "" {
+			return res, summary, nil
+		}
 		labels := []string{"attacked", "baseline"}
-		breakdowns := []telemetry.Breakdown{att.breakdown, base.breakdown}
-		if err := telemetry.WriteBreakdownCSV(opts.path("attribution.csv"), att.tierNames, labels, breakdowns); err != nil {
-			return nil, err
+		breakdowns := []telemetry.Breakdown{att.Breakdown, base.Breakdown}
+		if err := telemetry.WriteBreakdownCSV(opts.path("attribution.csv"), att.TierNames, labels, breakdowns); err != nil {
+			return nil, "", err
 		}
 		for i, run := range runs {
 			name := labels[i]
-			if err := telemetry.WriteAttributionCSV(opts.path(fmt.Sprintf("attribution_tail_%s.csv", name)), run.tierNames, run.tail); err != nil {
-				return nil, err
+			if err := telemetry.WriteAttributionCSV(opts.path(fmt.Sprintf("attribution_tail_%s.csv", name)), run.TierNames, run.Tail); err != nil {
+				return nil, "", err
 			}
-			for _, tl := range run.timelines {
+			for _, c := range run.Timelines {
+				tl := telemetry.RestoreTimeline(c.Res, c.Base, c.Points)
 				path := opts.path(fmt.Sprintf("attribution_timeline_%s_%dms.csv", name, tl.Res.Milliseconds()))
-				if err := telemetry.WriteTimelineCSV(path, tl); err != nil {
-					return nil, err
+				if err := telemetry.WriteTimelineCSV(path, &tl); err != nil {
+					return nil, "", err
 				}
 			}
 		}
+		return res, summary, nil
 	}
-	return res, nil
+	return &job[attributionRecord]{n: len(attacked), run: run, finalize: finalize}, nil
+}
+
+// FigAttribution runs the attacked and baseline RUBBoS experiments with
+// per-request tracing and decomposes each run's >=p99 latency tail along
+// its critical path. It writes a component-share CSV, per-trace tail
+// attributions, and the dual-resolution timelines for both runs.
+func FigAttribution(opts Options) (*AttributionResult, error) {
+	return runFigure[*AttributionResult](opts, newAttributionJob)
 }
 
 func share(part, whole time.Duration) float64 {

@@ -7,16 +7,19 @@
 package figures
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"memca/internal/analytical"
+	"memca/internal/attack"
+	"memca/internal/core"
+	"memca/internal/monitor"
 	"memca/internal/queueing"
 	"memca/internal/sim"
 	"memca/internal/stats"
-	"memca/internal/sweep"
+	"memca/internal/telemetry"
 	"memca/internal/trace"
 	"memca/internal/workload"
 )
@@ -57,33 +60,6 @@ func (o Options) duration(full time.Duration) time.Duration {
 	return d
 }
 
-// runJobs fans one figure driver's independent runs out over the sweep
-// engine and returns the results in job-index order, which keeps every
-// scalar and CSV artifact byte-identical to the serial path regardless
-// of Options.Parallel. Jobs must be pure functions of their index: each
-// builds its own engine (or pure model) and shares no mutable state.
-func runJobs[T any](o Options, n int, job func(index int) (T, error)) ([]T, error) {
-	opts := sweep.Options{Workers: o.Parallel, Progress: o.Progress}
-	return sweep.Run(context.Background(), opts, n, func(_ context.Context, i int) (T, error) {
-		return job(i)
-	})
-}
-
-// runArenaJobs is runJobs with one stats arena per sweep worker: the job
-// receives the worker's arena, which is reset as soon as the job returns,
-// so every run after a worker's first records into warm slabs. Jobs must
-// therefore copy anything they keep out of arena-backed objects before
-// returning — results that alias live experiment state (tier integrators,
-// generator series, tracer slabs) belong on plain runJobs instead.
-func runArenaJobs[T any](o Options, n int, job func(a *stats.Arena, index int) (T, error)) ([]T, error) {
-	opts := sweep.Options{Workers: o.Parallel, Progress: o.Progress}
-	return sweep.RunState(context.Background(), opts, n, stats.GetArena, stats.PutArena,
-		func(_ context.Context, a *stats.Arena, i int) (T, error) {
-			defer a.Reset()
-			return job(a, i)
-		})
-}
-
 // path joins OutDir with name; it returns "" when output is disabled.
 func (o Options) path(name string) string {
 	if o.OutDir == "" {
@@ -118,18 +94,16 @@ func writeSeries(path string, ts *stats.TimeSeries) error {
 
 // modelNetwork builds the 3-tier queueing network matching the analytical
 // RUBBoS model (one class per tier depth, rates from the model), used by
-// the model-level experiments of Figures 6 and 7. mode selects tandem or
-// RPC coupling; queueLimits overrides the per-tier limits (0 = Infinite).
-// a, when non-nil, backs the network's per-tier stats and the sources'
-// client samples (see stats.Arena).
-func modelNetwork(e *sim.Engine, a *stats.Arena, mode queueing.Mode, queueLimits [3]int) (*queueing.Network, []*queueing.Source, error) {
+// the model-level experiments of Figures 6 and 7 and the mechanism
+// ablation. mode selects tandem or RPC coupling; queueLimits overrides
+// the per-tier limits (0 = Infinite); retransmit gives the sources TCP
+// retransmission. a, when non-nil, backs the network's per-tier stats and
+// the sources' client samples (see stats.Arena).
+func modelNetwork(e *sim.Engine, a *stats.Arena, mode queueing.Mode, queueLimits [3]int, retransmit bool) (*queueing.Network, []*queueing.Source, error) {
 	m := analytical.RUBBoS3Tier()
+	const servers = 2
 	tiers := make([]queueing.TierConfig, 3)
 	for i, t := range m.Tiers {
-		servers := 2
-		if i == 2 {
-			servers = 2
-		}
 		tiers[i] = queueing.TierConfig{
 			Name:       t.Name,
 			QueueLimit: queueLimits[i],
@@ -151,17 +125,90 @@ func modelNetwork(e *sim.Engine, a *stats.Arena, mode queueing.Mode, queueLimits
 		if t.ArrivalRate <= 0 {
 			continue
 		}
-		src, err := queueing.NewPoissonSource(n, queueing.SourceConfig{
-			Class:      i,
-			Rate:       t.ArrivalRate,
-			Retransmit: queueing.DefaultRetransmit(),
-		})
+		cfg := queueing.SourceConfig{Class: i, Rate: t.ArrivalRate}
+		if retransmit {
+			cfg.Retransmit = queueing.DefaultRetransmit()
+		}
+		src, err := queueing.NewPoissonSource(n, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
 		sources = append(sources, src)
 	}
 	return n, sources, nil
+}
+
+// startModelAttack arms the model experiments' attack (fig6Attack) on the
+// network's MySQL tier, starts the sources, and runs the 5 s warmup. The
+// caller starts the returned burster.
+func startModelAttack(e *sim.Engine, n *queueing.Network, sources []*queueing.Source) (*attack.Burster, error) {
+	d, params := fig6Attack()
+	inj, err := attack.NewDirectInjector(n, 2, d)
+	if err != nil {
+		return nil, err
+	}
+	b, err := attack.NewBurster(e, inj, params)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range sources {
+		s.Start()
+	}
+	e.Run(5 * time.Second)
+	return b, nil
+}
+
+// stopModelAttack stops the burster and the sources.
+func stopModelAttack(b *attack.Burster, sources []*queueing.Source) {
+	b.Stop()
+	for _, s := range sources {
+		s.Stop()
+	}
+}
+
+// featureSpec is a tracing spec that keeps only the streaming feature
+// series at the given window widths (no event ring, tail or head
+// samples, or timelines): the attribution detector's input.
+func featureSpec(windows ...time.Duration) *telemetry.Spec {
+	spec := telemetry.DefaultSpec()
+	spec.EventRing = 0
+	spec.TailKeep = 0
+	spec.HeadEvery = 0
+	spec.HeadKeep = 0
+	spec.Resolutions = nil
+	spec.FeatureWindows = windows
+	spec.TailOver = time.Second
+	return &spec
+}
+
+// featureCopy is a feature series copied out of a finished run's tracer
+// in the exported form a job record carries.
+type featureCopy struct {
+	Res, TailThreshold, Base time.Duration
+	Windows                  []telemetry.WindowFeatures
+}
+
+func copyFeatures(fs *telemetry.FeatureSeries) featureCopy {
+	return featureCopy{fs.Res, fs.TailThreshold, fs.Base(), slices.Clone(fs.Windows())}
+}
+
+// series rebuilds the copied feature series for the detectors.
+func (c featureCopy) series() *telemetry.FeatureSeries {
+	fs := telemetry.RestoreFeatureSeries(c.Res, c.TailThreshold, c.Base, c.Windows)
+	return &fs
+}
+
+// victimCPU returns the victim (MySQL) tier's CPU utilization signal of a
+// finished run, with time measured from the end of warmup. It reads the
+// run's busy integrator, so it must be consumed before the arena resets.
+func victimCPU(x *core.Experiment, warmup time.Duration) (monitor.UtilizationSource, error) {
+	busy, err := x.Network().TierBusy(2)
+	if err != nil {
+		return nil, err
+	}
+	return func(from, to time.Duration) float64 {
+		return busy.WindowAverage(warmup+from, warmup+to) / 2
+	}, nil
 }
 
 // rubbosTierNames returns the canonical tier labels.

@@ -9,6 +9,7 @@ import (
 	"memca/internal/defense"
 	"memca/internal/memmodel"
 	"memca/internal/monitor"
+	"memca/internal/stats"
 	"memca/internal/sweep"
 	"memca/internal/telemetry"
 	"memca/internal/trace"
@@ -58,11 +59,24 @@ type DefenseResult struct {
 	TriggeredP95 time.Duration
 }
 
-// DefenseEvaluation runs the attack under no defense, bandwidth
-// reservation, and split-lock protection, for both attack kinds, and runs
-// the millibottleneck detector against the undefended lock attack.
-func DefenseEvaluation(opts Options) (*DefenseResult, error) {
-	res := &DefenseResult{}
+// defenseRecord is one defense run's outcome. Matrix cells fill Point;
+// the undefended lock cell also carries its fine- and coarse-grained
+// millibottleneck detection, and it and the clean tuning replication
+// carry their 50 ms feature series for the attribution trigger.
+type defenseRecord struct {
+	Point                    DefensePoint
+	Episodes, CoarseEpisodes int
+	Verdict                  defense.Classification
+	Features                 featureCopy
+}
+
+func init() { register("defense", newDefenseJob) }
+
+// newDefenseJob prepares the countermeasure evaluation: one run per
+// matrix cell, plus a seed-derived attack-free replication whose feature
+// stream calibrates the attribution trigger. Cell 0, the undefended lock
+// attack, runs the detection side inside its own job.
+func newDefenseJob(opts Options) (*job[defenseRecord], error) {
 	type cell struct {
 		attackName string
 		kind       memmodel.AttackKind
@@ -79,43 +93,25 @@ func DefenseEvaluation(opts Options) (*DefenseResult, error) {
 		{"bus-saturation", memmodel.AttackBusSaturation, "bandwidth-reservation", reservation},
 		{"bus-saturation", memmodel.AttackBusSaturation, "split-lock-protection", splitLock},
 	}
-
-	// Plain runJobs (no arena): each cell keeps its live experiment so the
-	// detection pass below can replay the undefended lock attack's exact
-	// CPU signal after the sweep returns. The extra job past the matrix
-	// cells is a seed-derived attack-free replication whose feature stream
-	// calibrates the attribution trigger.
-	featureSpec := func() *telemetry.Spec {
-		spec := telemetry.DefaultSpec()
-		spec.EventRing = 0
-		spec.TailKeep = 0
-		spec.HeadEvery = 0
-		spec.HeadKeep = 0
-		spec.Resolutions = nil
-		spec.FeatureWindows = []time.Duration{monitor.GranularityFine}
-		spec.TailOver = time.Second
-		return &spec
-	}
-	type cellRun struct {
-		point DefensePoint
-		x     *core.Experiment
-	}
-	runs, err := runJobs(opts, len(cells)+1, func(i int) (*cellRun, error) {
+	run := func(a *stats.Arena, i int) (defenseRecord, error) {
+		var rec defenseRecord
 		cfg := core.DefaultConfig()
 		cfg.Seed = opts.Seed
 		cfg.Duration = opts.duration(90 * time.Second)
+		cfg.Arena = a
 		if i == len(cells) {
 			cfg.Seed = sweep.DeriveSeed(opts.Seed, 200)
 			cfg.Attack = nil
-			cfg.Trace = featureSpec()
+			cfg.Trace = featureSpec(monitor.GranularityFine)
 			x, err := core.NewExperiment(cfg)
+			if err == nil {
+				_, err = x.Run()
+			}
 			if err != nil {
-				return nil, fmt.Errorf("figures: defense clean tuning run: %w", err)
+				return rec, fmt.Errorf("figures: defense clean tuning run: %w", err)
 			}
-			if _, err := x.Run(); err != nil {
-				return nil, fmt.Errorf("figures: defense clean tuning run: %w", err)
-			}
-			return &cellRun{x: x}, nil
+			rec.Features = copyFeatures(x.Tracer().FeaturesAt(monitor.GranularityFine))
+			return rec, nil
 		}
 		c := cells[i]
 		cfg.Attack.Kind = c.kind
@@ -124,127 +120,116 @@ func DefenseEvaluation(opts Options) (*DefenseResult, error) {
 			cfg.Attack.AdversaryVMs = 4
 		}
 		cfg.Defense = c.spec
-		if c.kind == memmodel.AttackMemoryLock && c.spec == nil {
-			cfg.Trace = featureSpec()
+		if i == 0 {
+			cfg.Trace = featureSpec(monitor.GranularityFine)
 		}
 		x, err := core.NewExperiment(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("figures: defense %s/%s: %w", c.attackName, c.defName, err)
+			return rec, fmt.Errorf("figures: defense %s/%s: %w", c.attackName, c.defName, err)
 		}
 		rep, err := x.Run()
 		if err != nil {
-			return nil, fmt.Errorf("figures: defense %s/%s run: %w", c.attackName, c.defName, err)
+			return rec, fmt.Errorf("figures: defense %s/%s run: %w", c.attackName, c.defName, err)
 		}
-		return &cellRun{
-			point: DefensePoint{
-				Attack:       c.attackName,
-				Defense:      c.defName,
-				ClientP95:    rep.Client.P95,
-				DegradationD: rep.LastDegradation,
-				Mitigated:    rep.Client.P95 < time.Second,
-			},
-			x: x,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var undefendedLock *core.Experiment
-	var lockP95, reservationP95 time.Duration
-	for i, c := range cells {
-		res.Matrix = append(res.Matrix, runs[i].point)
-		if c.kind == memmodel.AttackMemoryLock {
-			switch {
-			case c.spec == nil:
-				undefendedLock = runs[i].x
-				lockP95 = runs[i].point.ClientP95
-			case c.spec == reservation:
-				reservationP95 = runs[i].point.ClientP95
+		rec.Point = DefensePoint{
+			Attack:       c.attackName,
+			Defense:      c.defName,
+			ClientP95:    rep.Client.P95,
+			DegradationD: rep.LastDegradation,
+			Mitigated:    rep.Client.P95 < time.Second,
+		}
+		if i != 0 {
+			return rec, nil
+		}
+
+		// Detection side: the fine- and coarse-grained detectors over
+		// the undefended lock attack's exact CPU signal.
+		source, err := victimCPU(x, cfg.Warmup)
+		if err != nil {
+			return rec, err
+		}
+		coarse := defense.DefaultDetector()
+		coarse.Granularity = time.Second
+		var found [2][]defense.Millibottleneck
+		for k, dc := range []defense.DetectorConfig{defense.DefaultDetector(), coarse} {
+			det, err := defense.NewDetector(dc)
+			if err != nil {
+				return rec, err
+			}
+			if found[k], err = det.Detect(source, cfg.Duration); err != nil {
+				return rec, err
 			}
 		}
+		rec.Episodes, rec.CoarseEpisodes = len(found[0]), len(found[1])
+		rec.Verdict = defense.Classify(found[0], 5)
+		rec.Features = copyFeatures(x.Tracer().FeaturesAt(monitor.GranularityFine))
+		return rec, nil
 	}
-	cleanTuning := runs[len(cells)].x
-
-	// Detection side: run the fine- and coarse-grained detectors over
-	// the undefended lock attack's exact CPU signal.
-	busy, err := undefendedLock.Network().TierBusy(2)
-	if err != nil {
-		return nil, err
-	}
-	warmup := 20 * time.Second
-	source := func(from, to time.Duration) float64 {
-		return busy.WindowAverage(warmup+from, warmup+to) / 2
-	}
-	horizon := opts.duration(90 * time.Second)
-
-	fine, err := defense.NewDetector(defense.DefaultDetector())
-	if err != nil {
-		return nil, err
-	}
-	episodes, err := fine.Detect(source, horizon)
-	if err != nil {
-		return nil, err
-	}
-	res.DetectorEpisodes = len(episodes)
-	res.DetectorVerdict = defense.Classify(episodes, 5)
-	res.DetectorOverhead = defense.DefaultDetector().OverheadFraction()
-
-	coarseCfg := defense.DefaultDetector()
-	coarseCfg.Granularity = time.Second
-	coarse, err := defense.NewDetector(coarseCfg)
-	if err != nil {
-		return nil, err
-	}
-	coarseEpisodes, err := coarse.Detect(source, horizon)
-	if err != nil {
-		return nil, err
-	}
-	res.CoarseDetectorEpisodes = len(coarseEpisodes)
-
-	// Attribution trigger: tune the feature detector on the seed-derived
-	// clean replication against the undefended lock attack, then use it as
-	// the activation condition for bandwidth reservation. The triggered
-	// row's p95 is not a new simulation — the trigger decides which of the
-	// two measured outcomes applies: the reservation cell's when the
-	// detector fires, the undefended cell's when it stays silent.
-	lockFeatures := undefendedLock.Tracer().FeaturesAt(monitor.GranularityFine)
-	cleanFeatures := cleanTuning.Tracer().FeaturesAt(monitor.GranularityFine)
-	attribution, _, err := monitor.TuneAttribution(
-		[]*telemetry.FeatureSeries{lockFeatures},
-		[]*telemetry.FeatureSeries{cleanFeatures},
-		detectorMinCount,
-	)
-	if err != nil {
-		return nil, fmt.Errorf("figures: tuning defense trigger: %w", err)
-	}
-	res.Attribution = attribution
-	res.AttributionAlarms = len(attribution.DetectFeatures(lockFeatures))
-	res.AttributionTriggered = res.AttributionAlarms > 0
-	res.TriggeredP95 = lockP95
-	if res.AttributionTriggered {
-		res.TriggeredP95 = reservationP95
-	}
-	res.Matrix = append(res.Matrix, DefensePoint{
-		Attack:       "memory-lock",
-		Defense:      "attribution-triggered-reservation",
-		ClientP95:    res.TriggeredP95,
-		DegradationD: res.Matrix[0].DegradationD,
-		Mitigated:    res.TriggeredP95 < time.Second,
-	})
-
-	if path := opts.path("defense_matrix.csv"); path != "" {
-		rows := make([][]string, 0, len(res.Matrix))
-		for _, p := range res.Matrix {
-			rows = append(rows, []string{
-				p.Attack, p.Defense,
-				strconv.FormatFloat(p.ClientP95.Seconds()*1000, 'f', 1, 64),
-				strconv.FormatFloat(p.DegradationD, 'f', 3, 64),
-				strconv.FormatBool(p.Mitigated),
-			})
+	finalize := func(records []defenseRecord) (any, string, error) {
+		lock, clean := records[0], records[len(cells)]
+		res := &DefenseResult{
+			DetectorEpisodes:       lock.Episodes,
+			DetectorVerdict:        lock.Verdict,
+			DetectorOverhead:       defense.DefaultDetector().OverheadFraction(),
+			CoarseDetectorEpisodes: lock.CoarseEpisodes,
 		}
-		if err := trace.WriteCSV(path, []string{"attack", "defense", "client_p95_ms", "degradation_d", "mitigated"}, rows); err != nil {
-			return nil, err
+		for _, r := range records[:len(cells)] {
+			res.Matrix = append(res.Matrix, r.Point)
 		}
+
+		// Attribution trigger: tune the feature detector on the
+		// seed-derived clean replication against the undefended lock
+		// attack, then use it as the activation condition for bandwidth
+		// reservation. The triggered row's p95 is not a new simulation —
+		// the trigger decides which of the two measured outcomes applies:
+		// the reservation cell's (cell 1) when the detector fires, the
+		// undefended cell's when it stays silent.
+		lockFeatures := lock.Features.series()
+		attribution, _, err := monitor.TuneAttribution(
+			[]*telemetry.FeatureSeries{lockFeatures},
+			[]*telemetry.FeatureSeries{clean.Features.series()},
+			detectorMinCount,
+		)
+		if err != nil {
+			return nil, "", fmt.Errorf("figures: tuning defense trigger: %w", err)
+		}
+		res.Attribution = attribution
+		res.AttributionAlarms = len(attribution.DetectFeatures(lockFeatures))
+		res.AttributionTriggered = res.AttributionAlarms > 0
+		res.TriggeredP95 = lock.Point.ClientP95
+		if res.AttributionTriggered {
+			res.TriggeredP95 = records[1].Point.ClientP95
+		}
+		res.Matrix = append(res.Matrix, DefensePoint{
+			Attack:       "memory-lock",
+			Defense:      "attribution-triggered-reservation",
+			ClientP95:    res.TriggeredP95,
+			DegradationD: res.Matrix[0].DegradationD,
+			Mitigated:    res.TriggeredP95 < time.Second,
+		})
+
+		if path := opts.path("defense_matrix.csv"); path != "" {
+			rows := make([][]string, 0, len(res.Matrix))
+			for _, p := range res.Matrix {
+				rows = append(rows, []string{
+					p.Attack, p.Defense,
+					strconv.FormatFloat(p.ClientP95.Seconds()*1000, 'f', 1, 64),
+					strconv.FormatFloat(p.DegradationD, 'f', 3, 64),
+					strconv.FormatBool(p.Mitigated),
+				})
+			}
+			if err := trace.WriteCSV(path, []string{"attack", "defense", "client_p95_ms", "degradation_d", "mitigated"}, rows); err != nil {
+				return nil, "", err
+			}
+		}
+		return res, fmt.Sprintf("defense: %d matrix rows, trigger fired=%t", len(res.Matrix), res.AttributionTriggered), nil
 	}
-	return res, nil
+	return &job[defenseRecord]{n: len(cells) + 1, run: run, finalize: finalize}, nil
+}
+
+// DefenseEvaluation runs the attack under no defense, bandwidth
+// reservation, and split-lock protection, for both attack kinds, and runs
+// the millibottleneck detector against the undefended lock attack.
+func DefenseEvaluation(opts Options) (*DefenseResult, error) {
+	return runFigure[*DefenseResult](opts, newDefenseJob)
 }

@@ -7,6 +7,7 @@ import (
 
 	"memca/internal/core"
 	"memca/internal/monitor"
+	"memca/internal/stats"
 	"memca/internal/sweep"
 	"memca/internal/telemetry"
 	"memca/internal/trace"
@@ -70,18 +71,6 @@ func (r *DetectorComparisonResult) Alarms(scenario, detector string, g time.Dura
 	return 0, false
 }
 
-// LegacyCPUDetectors returns the hand-picked constants the comparison used
-// before the auto-tuner existed. They are kept (and pinned by a regression
-// test) as the historical reference point: a threshold nobody trips, an
-// EWMA de-tuned to the noise floor, a CUSUM slack absorbing every burst.
-func LegacyCPUDetectors() []monitor.Detector {
-	return []monitor.Detector{
-		monitor.ThresholdDetector{Threshold: 0.9, MinConsecutive: 2},
-		monitor.EWMADetector{Alpha: 0.2, K: 4, Warmup: 20},
-		monitor.CUSUMDetector{Target: 0.55, Slack: 0.1, DecisionThreshold: 3},
-	}
-}
-
 // detectorScenarios enumerates the grid's three scenarios.
 var detectorScenarios = []struct {
 	name   string
@@ -93,13 +82,15 @@ var detectorScenarios = []struct {
 	{ScenarioFlashCrowd, false, true},
 }
 
-// detectorSignal is one scenario run's evidence: the victim-tier CPU
-// signal the sampled detectors see and the tracer whose feature series the
-// attribution detector consumes.
-type detectorSignal struct {
-	source  monitor.UtilizationSource
-	horizon time.Duration
-	tracer  *telemetry.Tracer
+// detectorGranularities are the grid's monitoring granularities.
+var detectorGranularities = []time.Duration{monitor.GranularityUser, monitor.GranularityFine}
+
+// detectorRecord is one scenario run's evidence, one entry per
+// detectorGranularities element: the victim-tier CPU signal the sampled
+// detectors see, and the feature series the attribution detector reads.
+type detectorRecord struct {
+	Buckets  [][]stats.Bucket
+	Features []featureCopy
 }
 
 // runDetectorScenario runs one scenario with feature tracing enabled. The
@@ -107,26 +98,20 @@ type detectorSignal struct {
 // half of the run: enough to lift the 1 s CPU signal well above the clean
 // band, while the queues (not drop cascades) absorb the surge — the benign
 // overload a CPU detector cannot tell from an attack.
-func runDetectorScenario(opts Options, seed int64, attack, flash bool) (*detectorSignal, error) {
+func runDetectorScenario(opts Options, a *stats.Arena, seed int64, attack, flash bool) (detectorRecord, error) {
+	var rec detectorRecord
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
 	cfg.Duration = opts.duration(2 * time.Minute)
+	cfg.Arena = a
 	if !attack {
 		cfg.Attack = nil
 	}
-	spec := telemetry.DefaultSpec()
-	spec.EventRing = 0
-	spec.TailKeep = 0
-	spec.HeadEvery = 0
-	spec.HeadKeep = 0
-	spec.Resolutions = nil
-	spec.FeatureWindows = []time.Duration{monitor.GranularityFine, monitor.GranularityUser}
-	spec.TailOver = time.Second
-	cfg.Trace = &spec
+	cfg.Trace = featureSpec(monitor.GranularityFine, monitor.GranularityUser)
 
 	x, err := core.NewExperiment(cfg)
 	if err != nil {
-		return nil, err
+		return rec, err
 	}
 	if flash {
 		surgeStart := cfg.Warmup + cfg.Duration/4
@@ -137,17 +122,55 @@ func runDetectorScenario(opts Options, seed int64, attack, flash bool) (*detecto
 		engine.At(surgeEnd, func() { x.Generator().SetPopulation(cfg.Clients, 0) })
 	}
 	if _, err := x.Run(); err != nil {
-		return nil, err
+		return rec, err
 	}
-	busy, err := x.Network().TierBusy(2)
+	source, err := victimCPU(x, cfg.Warmup)
 	if err != nil {
-		return nil, err
+		return rec, err
 	}
-	warmup := cfg.Warmup
-	source := func(from, to time.Duration) float64 {
-		return busy.WindowAverage(warmup+from, warmup+to) / 2
+	for _, g := range detectorGranularities {
+		sampler, err := monitor.NewSampler("cpu", g, source)
+		if err != nil {
+			return rec, err
+		}
+		buckets, err := sampler.Collect(cfg.Duration)
+		if err != nil {
+			return rec, err
+		}
+		rec.Buckets = append(rec.Buckets, buckets)
+		rec.Features = append(rec.Features, copyFeatures(x.Tracer().FeaturesAt(g)))
 	}
-	return &detectorSignal{source: source, horizon: cfg.Duration, tracer: x.Tracer()}, nil
+	return rec, nil
+}
+
+func init() { register("detectors", newDetectorsJob) }
+
+// newDetectorsJob prepares the detector grid. Runs 0-2 are the tuning
+// replications (seed-derived), runs 3-5 the evaluation runs, both in
+// detectorScenarios order.
+func newDetectorsJob(opts Options) (*job[detectorRecord], error) {
+	k := len(detectorScenarios)
+	run := func(a *stats.Arena, i int) (detectorRecord, error) {
+		scen := detectorScenarios[i%k]
+		seed := opts.Seed
+		label := "eval"
+		if i < k {
+			seed = sweep.DeriveSeed(opts.Seed, 100+i)
+			label = "tuning"
+		}
+		rec, err := runDetectorScenario(opts, a, seed, scen.attack, scen.flash)
+		if err != nil {
+			return rec, fmt.Errorf("figures: detector comparison %s %s run: %w", scen.name, label, err)
+		}
+		return rec, nil
+	}
+	return &job[detectorRecord]{n: 2 * k, run: run, finalize: func(records []detectorRecord) (any, string, error) {
+		res, err := compareDetectors(opts, records[:k], records[k:])
+		if err != nil {
+			return nil, "", err
+		}
+		return res, fmt.Sprintf("detectors: %d cells, attribution threshold %.4f", len(res.Cells), res.Attribution.ShareThreshold), nil
+	}}, nil
 }
 
 // DetectorComparison evaluates the detector grid: three scenarios (attack,
@@ -156,63 +179,32 @@ func runDetectorScenario(opts Options, seed int64, attack, flash bool) (*detecto
 // the evaluation seed; the tuners see only the tuning replications, so the
 // evaluated alarms are out-of-sample.
 func DetectorComparison(opts Options) (*DetectorComparisonResult, error) {
-	granularities := []time.Duration{monitor.GranularityUser, monitor.GranularityFine}
+	return runFigure[*DetectorComparisonResult](opts, newDetectorsJob)
+}
 
-	// Jobs 0-2 are the tuning replications (seed-derived), jobs 3-5 the
-	// evaluation runs. Plain runJobs (no arena): the returned signals
-	// close over live busy integrators and tracer slabs, read after the
-	// sweep returns.
-	n := 2 * len(detectorScenarios)
-	signals, err := runJobs(opts, n, func(i int) (*detectorSignal, error) {
-		scen := detectorScenarios[i%len(detectorScenarios)]
-		seed := opts.Seed
-		label := "eval"
-		if i < len(detectorScenarios) {
-			seed = sweep.DeriveSeed(opts.Seed, 100+i)
-			label = "tuning"
-		}
-		s, err := runDetectorScenario(opts, seed, scen.attack, scen.flash)
-		if err != nil {
-			return nil, fmt.Errorf("figures: detector comparison %s %s run: %w", scen.name, label, err)
-		}
-		return s, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	tune, eval := signals[:len(detectorScenarios)], signals[len(detectorScenarios):]
+// compareDetectors tunes the detectors on the tuning replications,
+// evaluates them on the evaluation runs, and writes the grid and ROC CSVs.
+func compareDetectors(opts Options, tune, eval []detectorRecord) (*DetectorComparisonResult, error) {
 	tuneAttack, tuneClean, tuneFlash := tune[0], tune[1], tune[2]
-
 	res := &DetectorComparisonResult{}
 
 	// Calibrate the CPU detectors per granularity on the clean tuning
 	// replication's signal.
-	cpuTuned := make(map[time.Duration]monitor.TunedCPUDetectors, len(granularities))
-	for _, g := range granularities {
-		sampler, err := monitor.NewSampler("cpu", g, tuneClean.source)
-		if err != nil {
-			return nil, err
-		}
-		buckets, err := sampler.Collect(tuneClean.horizon)
-		if err != nil {
-			return nil, err
-		}
-		tuned, err := monitor.TuneCPUDetectors(buckets)
+	for gi, g := range detectorGranularities {
+		tuned, err := monitor.TuneCPUDetectors(tuneClean.Buckets[gi])
 		if err != nil {
 			return nil, fmt.Errorf("figures: tuning CPU detectors at %v: %w", g, err)
 		}
-		cpuTuned[g] = tuned
 		res.Tuning = append(res.Tuning, DetectorTuning{Granularity: g, CPU: tuned})
 	}
 
 	// ROC-sweep the attribution threshold over the labeled tuning
 	// replications, pooling both granularities so one threshold serves
 	// the whole grid (the share is scale-free).
-	pos := []*telemetry.FeatureSeries{}
-	neg := []*telemetry.FeatureSeries{}
-	for _, g := range granularities {
-		pos = append(pos, tuneAttack.tracer.FeaturesAt(g))
-		neg = append(neg, tuneClean.tracer.FeaturesAt(g), tuneFlash.tracer.FeaturesAt(g))
+	var pos, neg []*telemetry.FeatureSeries
+	for gi := range detectorGranularities {
+		pos = append(pos, tuneAttack.Features[gi].series())
+		neg = append(neg, tuneClean.Features[gi].series(), tuneFlash.Features[gi].series())
 	}
 	attribution, roc, err := monitor.TuneAttribution(pos, neg, detectorMinCount)
 	if err != nil {
@@ -223,24 +215,15 @@ func DetectorComparison(opts Options) (*DetectorComparisonResult, error) {
 
 	// Evaluate the grid on the out-of-sample runs.
 	for si, scen := range detectorScenarios {
-		sig := eval[si]
-		for _, g := range granularities {
-			sampler, err := monitor.NewSampler("cpu", g, sig.source)
-			if err != nil {
-				return nil, err
-			}
-			buckets, err := sampler.Collect(sig.horizon)
-			if err != nil {
-				return nil, err
-			}
-			detectors := append(cpuTuned[g].Detectors(),
-				monitor.BridgeFeatures(attribution, sig.tracer.FeaturesAt(g)))
+		for gi, g := range detectorGranularities {
+			detectors := append(res.Tuning[gi].CPU.Detectors(),
+				monitor.BridgeFeatures(attribution, eval[si].Features[gi].series()))
 			for _, det := range detectors {
 				res.Cells = append(res.Cells, DetectorCell{
 					Scenario:    scen.name,
 					Detector:    det.Name(),
 					Granularity: g,
-					Alarms:      len(det.Detect(buckets)),
+					Alarms:      len(det.Detect(eval[si].Buckets[gi])),
 				})
 			}
 		}

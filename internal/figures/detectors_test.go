@@ -68,25 +68,3 @@ func TestDetectorComparison(t *testing.T) {
 
 	requireFiles(t, opts.OutDir, "detector_comparison.csv", "detector_roc.csv")
 }
-
-// TestLegacyCPUDetectorConstants pins the hand-picked settings the
-// comparison shipped with before the auto-tuner: they remain the
-// documented historical reference point and must not drift.
-func TestLegacyCPUDetectorConstants(t *testing.T) {
-	legacy := LegacyCPUDetectors()
-	if len(legacy) != 3 {
-		t.Fatalf("got %d legacy detectors, want 3", len(legacy))
-	}
-	th, ok := legacy[0].(monitor.ThresholdDetector)
-	if !ok || th.Threshold != 0.9 || th.MinConsecutive != 2 {
-		t.Errorf("legacy threshold detector = %#v, want Threshold 0.9 MinConsecutive 2", legacy[0])
-	}
-	ew, ok := legacy[1].(monitor.EWMADetector)
-	if !ok || ew.Alpha != 0.2 || ew.K != 4 || ew.Warmup != 20 {
-		t.Errorf("legacy EWMA detector = %#v, want Alpha 0.2 K 4 Warmup 20", legacy[1])
-	}
-	cu, ok := legacy[2].(monitor.CUSUMDetector)
-	if !ok || cu.Target != 0.55 || cu.Slack != 0.1 || cu.DecisionThreshold != 3 {
-		t.Errorf("legacy CUSUM detector = %#v, want Target 0.55 Slack 0.1 DecisionThreshold 3", legacy[2])
-	}
-}

@@ -9,7 +9,50 @@ import (
 
 	"memca/internal/dsweep"
 	"memca/internal/stats"
+	"memca/internal/sweep"
 )
+
+// job is one figure's fan-out: n independent runs, each a pure function
+// of its index that records into the calling worker's stats arena and
+// returns a typed record, plus a finalizer that turns the index-ordered
+// records into the figure's result, CSV artifacts and one-line summary.
+//
+// The arena is reset as soon as run returns, so a record copies out
+// whatever it keeps of arena-backed or live experiment state. Because
+// the sharded path gob-encodes records, a record carries everything in
+// exported, map-free fields (gob iterates maps in random order).
+// finalize is the only stage that touches Options.OutDir.
+type job[R any] struct {
+	n        int
+	run      func(a *stats.Arena, index int) (R, error)
+	finalize func(records []R) (result any, summary string, err error)
+}
+
+// runFigure prepares a figure's job and runs it in process: the runs fan
+// out over the sweep engine with one arena per worker, and the typed
+// records go straight to finalize in index order, so every scalar and
+// CSV artifact is byte-identical for any Options.Parallel.
+func runFigure[T, R any](o Options, prepare func(Options) (*job[R], error)) (T, error) {
+	var zero T
+	j, err := prepare(o)
+	if err != nil {
+		return zero, err
+	}
+	opts := sweep.Options{Workers: o.Parallel, Progress: o.Progress}
+	records, err := sweep.RunState(context.Background(), opts, j.n, stats.GetArena, stats.PutArena,
+		func(_ context.Context, a *stats.Arena, i int) (R, error) {
+			defer a.Reset()
+			return j.run(a, i)
+		})
+	if err != nil {
+		return zero, err
+	}
+	res, _, err := j.finalize(records)
+	if err != nil {
+		return zero, err
+	}
+	return res.(T), nil
+}
 
 // DistRun is one figure driver prepared for distributable execution: a
 // fixed job count, a pure per-index job producing an encoded record, and
@@ -19,10 +62,9 @@ import (
 // The split is what makes sharding safe: Job never writes files and is a
 // pure function of (Options, index) — every worker computes identical
 // bytes for an index — while Finalize is the only stage that touches
-// OutDir, and runs exactly once on the merged stream. The in-process
-// figure functions (Fig2, the ablations, FigPlanner) run through the same
-// Job/Finalize pair, so a distributed run's outputs are byte-identical to
-// theirs by construction, not by testing alone.
+// OutDir, and runs exactly once on the merged stream. Job and Finalize
+// wrap the same typed run and finalizer the in-process figure functions
+// use, so a distributed run's outputs match theirs byte for byte.
 type DistRun struct {
 	// Jobs is the total job count; indices run 0..Jobs-1.
 	Jobs int
@@ -50,12 +92,39 @@ type DistDriver struct {
 // register in init functions next to their figure code.
 var distRegistry = map[string]DistDriver{}
 
-// registerDist adds a driver; duplicate names are a programming error.
-func registerDist(d DistDriver) {
-	if _, dup := distRegistry[d.Name]; dup {
-		panic(fmt.Sprintf("figures: duplicate dist driver %q", d.Name))
+// register adds a figure's job to the registry as a distributable
+// driver; duplicate names are a programming error. The driver's DistRun
+// adapts the typed job to the byte-level fabric: the only place records
+// are serialized.
+func register[R any](name string, prepare func(Options) (*job[R], error)) {
+	if _, dup := distRegistry[name]; dup {
+		panic(fmt.Sprintf("figures: duplicate dist driver %q", name))
 	}
-	distRegistry[d.Name] = d
+	distRegistry[name] = DistDriver{Name: name, New: func(o Options) (*DistRun, error) {
+		j, err := prepare(o)
+		if err != nil {
+			return nil, err
+		}
+		return &DistRun{
+			Jobs: j.n,
+			Job: func(a *stats.Arena, i int) ([]byte, error) {
+				r, err := j.run(a, i)
+				if err != nil {
+					return nil, err
+				}
+				return encodeRecord(r)
+			},
+			Finalize: func(payloads [][]byte) (any, string, error) {
+				records := make([]R, len(payloads))
+				for i, data := range payloads {
+					if err := decodeRecord(data, &records[i]); err != nil {
+						return nil, "", err
+					}
+				}
+				return j.finalize(records)
+			},
+		}, nil
+	}}
 }
 
 // DistDrivers lists the registered driver names, sorted.
@@ -72,26 +141,6 @@ func DistDrivers() []string {
 func LookupDist(name string) (DistDriver, bool) {
 	d, ok := distRegistry[name]
 	return d, ok
-}
-
-// runDistLocal executes a driver fully in-process: jobs fan out over the
-// sweep engine (one arena per worker, same as every figure), then the
-// finalizer consumes the records in index order. This is the path the
-// plain figure functions use.
-func runDistLocal(name string, o Options) (any, string, error) {
-	d, ok := LookupDist(name)
-	if !ok {
-		return nil, "", fmt.Errorf("figures: no dist driver %q (have %v)", name, DistDrivers())
-	}
-	r, err := d.New(o)
-	if err != nil {
-		return nil, "", err
-	}
-	payloads, err := runArenaJobs(o, r.Jobs, r.Job)
-	if err != nil {
-		return nil, "", err
-	}
-	return r.Finalize(payloads)
 }
 
 // encodeRecord gob-encodes one job record with a fresh encoder, so the
@@ -165,9 +214,8 @@ func newDistRun(m *dsweep.Manifest) (*DistRun, error) {
 // RunShard runs one shard of a manifest in this process: the worker half
 // of the fabric. It keeps the arena story intact — one arena for the
 // whole worker process, reset after every job, so each job after the
-// first records into warm slabs (the per-worker equivalent of
-// sweep.RunState in the in-process path). Resume is automatic via the
-// shard artifact.
+// first records into warm slabs (the per-worker equivalent of the
+// in-process runner). Resume is automatic via the shard artifact.
 func RunShard(ctx context.Context, m *dsweep.Manifest, shard int, opts dsweep.ShardOptions) error {
 	r, err := newDistRun(m)
 	if err != nil {

@@ -40,12 +40,13 @@ type EvasionResult struct {
 	Points []EvasionPoint
 }
 
-// JitterEvasion sweeps the attack's interval jitter and evaluates damage
-// versus detectability at each level.
-func JitterEvasion(opts Options) (*EvasionResult, error) {
-	res := &EvasionResult{}
+func init() { register("evasion", newEvasionJob) }
+
+// newEvasionJob prepares the jitter sweep: one run per jitter level, each
+// record the level's EvasionPoint.
+func newEvasionJob(opts Options) (*job[EvasionPoint], error) {
 	jitters := []float64{0, 0.25, 0.5, 0.75}
-	points, err := runArenaJobs(opts, len(jitters), func(a *stats.Arena, ji int) (EvasionPoint, error) {
+	run := func(a *stats.Arena, ji int) (EvasionPoint, error) {
 		jitter := jitters[ji]
 		cfg := core.DefaultConfig()
 		cfg.Seed = opts.Seed
@@ -64,12 +65,9 @@ func JitterEvasion(opts Options) (*EvasionResult, error) {
 		}
 		point := EvasionPoint{Jitter: jitter, ClientP95: rep.Client.P95}
 
-		busy, err := x.Network().TierBusy(2)
+		source, err := victimCPU(x, cfg.Warmup)
 		if err != nil {
 			return EvasionPoint{}, err
-		}
-		source := func(from, to time.Duration) float64 {
-			return busy.WindowAverage(cfg.Warmup+from, cfg.Warmup+to) / 2
 		}
 
 		// Figure 11-style periodicity of the CPU signal at the mean
@@ -101,13 +99,14 @@ func JitterEvasion(opts Options) (*EvasionResult, error) {
 		point.Classified = verdict.PulsatingAttack
 		point.IntervalCV = verdict.IntervalCV
 		return point, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	res.Points = points
-
-	if path := opts.path("evasion_jitter.csv"); path != "" {
+	finalize := func(points []EvasionPoint) (any, string, error) {
+		res := &EvasionResult{Points: points}
+		summary := fmt.Sprintf("evasion: %d jitter levels", len(points))
+		path := opts.path("evasion_jitter.csv")
+		if path == "" {
+			return res, summary, nil
+		}
 		rows := make([][]string, 0, len(res.Points))
 		for _, p := range res.Points {
 			rows = append(rows, []string{
@@ -118,9 +117,13 @@ func JitterEvasion(opts Options) (*EvasionResult, error) {
 				strconv.FormatFloat(p.IntervalCV, 'f', 3, 64),
 			})
 		}
-		if err := trace.WriteCSV(path, []string{"jitter", "client_p95_ms", "periodicity", "classified", "interval_cv"}, rows); err != nil {
-			return nil, err
-		}
+		return res, summary, trace.WriteCSV(path, []string{"jitter", "client_p95_ms", "periodicity", "classified", "interval_cv"}, rows)
 	}
-	return res, nil
+	return &job[EvasionPoint]{n: len(jitters), run: run, finalize: finalize}, nil
+}
+
+// JitterEvasion sweeps the attack's interval jitter and evaluates damage
+// versus detectability at each level.
+func JitterEvasion(opts Options) (*EvasionResult, error) {
+	return runFigure[*EvasionResult](opts, newEvasionJob)
 }

@@ -45,15 +45,11 @@ func Fig10(opts Options) (*Fig10Result, error) {
 
 	// Re-sample the exact busy signal at the three granularities over
 	// the measured window.
-	busy, err := x.Network().TierBusy(2)
+	source, err := victimCPU(x, cfg.Warmup)
 	if err != nil {
 		return nil, err
 	}
-	from := cfg.Warmup
 	horizon := cfg.Duration
-	source := func(wFrom, wTo time.Duration) float64 {
-		return busy.WindowAverage(from+wFrom, from+wTo) / 2
-	}
 	names := map[time.Duration]string{
 		monitor.GranularityCloud: "fig10a_cpu_1min.csv",
 		monitor.GranularityUser:  "fig10b_cpu_1s.csv",

@@ -2,6 +2,7 @@ package figures
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -39,21 +40,19 @@ type fig2Record struct {
 	Tiers       []fig2Tier
 }
 
-func init() {
-	registerDist(DistDriver{Name: "fig2", New: newFig2Run})
-}
+func init() { register("fig2", newFig2Job) }
 
-// newFig2Run prepares the Figure 2 driver: one job per cloud environment,
-// each running the paper's headline experiment — the 3-minute RUBBoS run
-// under the memory-lock MemCA attack (I = 2 s, L = 500 ms).
-func newFig2Run(opts Options) (*DistRun, error) {
+// newFig2Job prepares the Figure 2 job: one run per cloud environment,
+// each the paper's headline experiment — the 3-minute RUBBoS run under
+// the memory-lock MemCA attack (I = 2 s, L = 500 ms).
+func newFig2Job(opts Options) (*job[fig2Record], error) {
 	if err := checkTiersMatch(); err != nil {
 		return nil, err
 	}
 	envs := []core.Env{core.EnvEC2, core.EnvPrivateCloud}
-	return &DistRun{
-		Jobs: len(envs),
-		Job: func(a *stats.Arena, i int) ([]byte, error) {
+	return &job[fig2Record]{
+		n: len(envs),
+		run: func(a *stats.Arena, i int) (fig2Record, error) {
 			env := envs[i]
 			cfg := core.DefaultConfig()
 			cfg.Seed = opts.Seed
@@ -62,11 +61,11 @@ func newFig2Run(opts Options) (*DistRun, error) {
 			cfg.Arena = a // the Report holds only heap copies; see core.Config
 			x, err := core.NewExperiment(cfg)
 			if err != nil {
-				return nil, fmt.Errorf("figures: fig2 %v: %w", env, err)
+				return fig2Record{}, fmt.Errorf("figures: fig2 %v: %w", env, err)
 			}
 			rep, err := x.Run()
 			if err != nil {
-				return nil, fmt.Errorf("figures: fig2 %v run: %w", env, err)
+				return fig2Record{}, fmt.Errorf("figures: fig2 %v run: %w", env, err)
 			}
 			rec := fig2Record{
 				Env:         env.String(),
@@ -77,20 +76,17 @@ func newFig2Run(opts Options) (*DistRun, error) {
 			for _, t := range rep.Tiers {
 				rec.Tiers = append(rec.Tiers, fig2Tier{Name: t.Name, Curve: t.Curve, P95: t.Summary.P95})
 			}
-			return encodeRecord(rec)
+			return rec, nil
 		},
-		Finalize: func(payloads [][]byte) (any, string, error) {
+		finalize: func(records []fig2Record) (any, string, error) {
 			res := &Fig2Result{
 				ClientP95:       make(map[string]time.Duration),
 				ClientP98:       make(map[string]time.Duration),
 				AmplificationOK: true,
 			}
-			lines := make([]string, 0, len(payloads))
+			lines := make([]string, 0, len(records))
 			for i, env := range envs {
-				rec := fig2Record{}
-				if err := decodeRecord(payloads[i], &rec); err != nil {
-					return nil, "", err
-				}
+				rec := records[i]
 				res.ClientP95[rec.Env] = rec.ClientP95
 				res.ClientP98[rec.Env] = rec.ClientP98
 
@@ -100,7 +96,7 @@ func newFig2Run(opts Options) (*DistRun, error) {
 					curves[t.Name] = t.Curve
 					order = append(order, t.Name)
 				}
-				if err := writeCurves(opts.path(fmt.Sprintf("fig2_%s.csv", env)), core.FigurePercentiles, order, curves); err != nil {
+				if err := writeCurves(opts.path("fig2_"+env.String()+".csv"), core.FigurePercentiles, order, curves); err != nil {
 					return nil, "", err
 				}
 
@@ -109,9 +105,11 @@ func newFig2Run(opts Options) (*DistRun, error) {
 				if mysql > tomcat+tol || tomcat > apache+tol || apache > rec.ClientP95+tol {
 					res.AmplificationOK = false
 				}
-				lines = append(lines, fmt.Sprintf("%s client p95=%v p98=%v", rec.Env, rec.ClientP95, rec.ClientP98))
+				lines = append(lines, rec.Env+" client p95="+rec.ClientP95.String()+" p98="+rec.ClientP98.String())
 			}
-			summary := fmt.Sprintf("fig2: %s, amplification ok=%t", strings.Join(lines, "; "), res.AmplificationOK)
+			// No fmt on this path: its pooled printers would make Fig2's
+			// allocation contract depend on GOMAXPROCS.
+			summary := "fig2: " + strings.Join(lines, "; ") + ", amplification ok=" + strconv.FormatBool(res.AmplificationOK)
 			return res, summary, nil
 		},
 	}, nil
@@ -123,9 +121,5 @@ func newFig2Run(opts Options) (*DistRun, error) {
 // per environment. It runs through the same job/finalize pair as the
 // distributed fabric, so its outputs match a sharded run byte for byte.
 func Fig2(opts Options) (*Fig2Result, error) {
-	res, _, err := runDistLocal("fig2", opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.(*Fig2Result), nil
+	return runFigure[*Fig2Result](opts, newFig2Job)
 }

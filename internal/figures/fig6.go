@@ -2,6 +2,7 @@ package figures
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -37,43 +38,46 @@ type Fig6Result struct {
 	RPCFillOrder [3]time.Duration
 }
 
-// Fig6 runs both queueing models under identical ON-OFF attacks and
-// writes per-tier occupancy time lines.
-func Fig6(opts Options) (*Fig6Result, error) {
-	d, params := fig6Attack()
-	horizon := opts.duration(40 * time.Second)
-	res := &Fig6Result{RPCFilled: true}
-	m := analytical.RUBBoS3Tier()
-	limits := [3]int{m.Tiers[0].Queue, m.Tiers[1].Queue, m.Tiers[2].Queue}
+// fig6Record is one model's run: the occupancy time line around the
+// first post-warmup bursts plus per-tier peaks and first-full instants.
+type fig6Record struct {
+	Buckets [][4]float64 // t, apache, tomcat, mysql
+	MaxOcc  [3]float64
+	FullAt  [3]time.Duration
+}
 
-	type runResult struct {
-		buckets [][4]float64 // t, apache, tomcat, mysql
-		maxOcc  [3]float64
-		fullAt  [3]time.Duration
+func init() { register("fig6", newFig6Job) }
+
+// newFig6Job prepares Figure 6: two independent models under the same
+// attack — the tandem baseline (infinite queues, work piles at the
+// bottleneck) and the paper's RPC model (finite descending queues,
+// overflow propagates front).
+func newFig6Job(opts Options) (*job[fig6Record], error) {
+	horizon := opts.duration(40 * time.Second)
+	m := analytical.RUBBoS3Tier()
+	variants := []struct {
+		name   string
+		mode   queueing.Mode
+		limits [3]int
+	}{
+		{"tandem", queueing.ModeTandem, [3]int{queueing.Infinite, queueing.Infinite, queueing.Infinite}},
+		{"rpc", queueing.ModeNTierRPC, [3]int{m.Tiers[0].Queue, m.Tiers[1].Queue, m.Tiers[2].Queue}},
 	}
-	run := func(a *stats.Arena, mode queueing.Mode, queueLimits [3]int) (*runResult, error) {
+
+	run := func(a *stats.Arena, mode queueing.Mode, queueLimits [3]int) (fig6Record, error) {
+		var rr fig6Record
 		e := sim.NewEngine(opts.Seed)
-		n, sources, err := modelNetwork(e, a, mode, queueLimits)
+		n, sources, err := modelNetwork(e, a, mode, queueLimits, true)
 		if err != nil {
-			return nil, err
+			return rr, err
 		}
-		inj, err := attack.NewDirectInjector(n, 2, d)
+		b, err := startModelAttack(e, n, sources)
 		if err != nil {
-			return nil, err
+			return rr, err
 		}
-		b, err := attack.NewBurster(e, inj, params)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range sources {
-			s.Start()
-		}
-		// Warm up 5 s, then attack.
-		e.Run(5 * time.Second)
 		b.Start()
 		attackStart := e.Now()
 
-		rr := &runResult{}
 		// Track first-full instants with a fine poller.
 		var poll func()
 		poll = func() {
@@ -83,11 +87,11 @@ func Fig6(opts Options) (*Fig6Result, error) {
 					return
 				}
 				occ := float64(st.InUse)
-				if occ > rr.maxOcc[i] {
-					rr.maxOcc[i] = occ
+				if occ > rr.MaxOcc[i] {
+					rr.MaxOcc[i] = occ
 				}
-				if queueLimits[i] != queueing.Infinite && rr.fullAt[i] == 0 && st.InUse >= queueLimits[i] {
-					rr.fullAt[i] = e.Now() - attackStart
+				if queueLimits[i] != queueing.Infinite && rr.FullAt[i] == 0 && st.InUse >= queueLimits[i] {
+					rr.FullAt[i] = e.Now() - attackStart
 				}
 			}
 			if e.Now() < horizon {
@@ -96,10 +100,7 @@ func Fig6(opts Options) (*Fig6Result, error) {
 		}
 		e.Schedule(0, poll)
 		e.Run(horizon)
-		b.Stop()
-		for _, s := range sources {
-			s.Stop()
-		}
+		stopModelAttack(b, sources)
 
 		// Export a 8-second window around the first post-warmup bursts
 		// at 20 ms resolution.
@@ -109,56 +110,22 @@ func Fig6(opts Options) (*Fig6Result, error) {
 			for i := 0; i < 3; i++ {
 				occ, err := n.TierOccupancy(i)
 				if err != nil {
-					return nil, err
+					return rr, err
 				}
 				row[i+1] = occ.WindowAverage(t, t+width)
 			}
-			rr.buckets = append(rr.buckets, row)
+			rr.Buckets = append(rr.Buckets, row)
 		}
 		return rr, nil
 	}
 
-	// Two independent models under the same attack: the tandem baseline
-	// (infinite queues, work piles at the bottleneck) and the paper's
-	// RPC model (finite descending queues, overflow propagates front).
-	variants := []struct {
-		name   string
-		mode   queueing.Mode
-		limits [3]int
-	}{
-		{"tandem", queueing.ModeTandem, [3]int{queueing.Infinite, queueing.Infinite, queueing.Infinite}},
-		{"rpc", queueing.ModeNTierRPC, limits},
-	}
-	runs, err := runArenaJobs(opts, len(variants), func(a *stats.Arena, i int) (*runResult, error) {
-		rr, err := run(a, variants[i].mode, variants[i].limits)
-		if err != nil {
-			return nil, fmt.Errorf("figures: fig6 %s: %w", variants[i].name, err)
-		}
-		return rr, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	tandem, rpc := runs[0], runs[1]
-	res.TandemMySQLMax = tandem.maxOcc[2]
-	res.TandemUpstreamMax = tandem.maxOcc[0]
-	if tandem.maxOcc[1] > res.TandemUpstreamMax {
-		res.TandemUpstreamMax = tandem.maxOcc[1]
-	}
-	for i := 0; i < 3; i++ {
-		if rpc.fullAt[i] == 0 {
-			res.RPCFilled = false
-		}
-		res.RPCFillOrder[i] = rpc.fullAt[i]
-	}
-
-	writeRun := func(name string, rr *runResult) error {
+	writeRun := func(name string, rr fig6Record) error {
 		path := opts.path(name)
 		if path == "" {
 			return nil
 		}
-		rows := make([][]string, 0, len(rr.buckets))
-		for _, b := range rr.buckets {
+		rows := make([][]string, 0, len(rr.Buckets))
+		for _, b := range rr.Buckets {
 			rows = append(rows, []string{
 				strconv.FormatFloat(b[0], 'f', 3, 64),
 				strconv.FormatFloat(b[1], 'f', 2, 64),
@@ -168,11 +135,37 @@ func Fig6(opts Options) (*Fig6Result, error) {
 		}
 		return trace.WriteCSV(path, []string{"t_s", "apache_q", "tomcat_q", "mysql_q"}, rows)
 	}
-	if err := writeRun("fig6_tandem.csv", tandem); err != nil {
-		return nil, err
-	}
-	if err := writeRun("fig6_rpc.csv", rpc); err != nil {
-		return nil, err
-	}
-	return res, nil
+
+	return &job[fig6Record]{
+		n: len(variants),
+		run: func(a *stats.Arena, i int) (fig6Record, error) {
+			rr, err := run(a, variants[i].mode, variants[i].limits)
+			if err != nil {
+				return rr, fmt.Errorf("figures: fig6 %s: %w", variants[i].name, err)
+			}
+			return rr, nil
+		},
+		finalize: func(runs []fig6Record) (any, string, error) {
+			tandem, rpc := runs[0], runs[1]
+			res := &Fig6Result{
+				TandemMySQLMax:    tandem.MaxOcc[2],
+				TandemUpstreamMax: max(tandem.MaxOcc[0], tandem.MaxOcc[1]),
+				RPCFilled:         !slices.Contains(rpc.FullAt[:], 0),
+				RPCFillOrder:      rpc.FullAt,
+			}
+			if err := writeRun("fig6_tandem.csv", tandem); err != nil {
+				return nil, "", err
+			}
+			if err := writeRun("fig6_rpc.csv", rpc); err != nil {
+				return nil, "", err
+			}
+			return res, fmt.Sprintf("fig6: tandem mysql max %.0f, rpc all queues filled=%t", res.TandemMySQLMax, res.RPCFilled), nil
+		},
+	}, nil
+}
+
+// Fig6 runs both queueing models under identical ON-OFF attacks and
+// writes per-tier occupancy time lines.
+func Fig6(opts Options) (*Fig6Result, error) {
+	return runFigure[*Fig6Result](opts, newFig6Job)
 }

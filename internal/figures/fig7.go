@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"memca/internal/analytical"
-	"memca/internal/attack"
 	"memca/internal/queueing"
 	"memca/internal/sim"
 	"memca/internal/stats"
@@ -45,13 +44,20 @@ type Fig7Result struct {
 	Cases map[Fig7Case]Fig7CaseResult
 }
 
-// Fig7 runs the three variants and writes one percentile-curve CSV per
-// case.
-func Fig7(opts Options) (*Fig7Result, error) {
-	d, params := fig6Attack()
+// fig7Record is one variant's run: the client curve followed by the
+// per-tier curves (rubbosTierNames order), and the case summary.
+type fig7Record struct {
+	Curves [][]time.Duration
+	Result Fig7CaseResult
+}
+
+func init() { register("fig7", newFig7Job) }
+
+// newFig7Job prepares Figure 7: one independent simulation per model
+// variant under the same attack.
+func newFig7Job(opts Options) (*job[fig7Record], error) {
 	horizon := opts.duration(3 * time.Minute)
 	m := analytical.RUBBoS3Tier()
-	res := &Fig7Result{Cases: make(map[Fig7Case]Fig7CaseResult)}
 
 	variants := []struct {
 		name   Fig7Case
@@ -62,84 +68,75 @@ func Fig7(opts Options) (*Fig7Result, error) {
 		{Fig7InfiniteFront, queueing.ModeNTierRPC, [3]int{queueing.Infinite, m.Tiers[1].Queue, m.Tiers[2].Queue}},
 		{Fig7Finite, queueing.ModeNTierRPC, [3]int{m.Tiers[0].Queue, m.Tiers[1].Queue, m.Tiers[2].Queue}},
 	}
-	// Each variant is an independent simulation; run them over the sweep
-	// engine, then summarize and write CSVs serially in variant order.
-	type caseRun struct {
-		curves map[string][]time.Duration
-		order  []string
-		result Fig7CaseResult
-	}
-	runs, err := runArenaJobs(opts, len(variants), func(a *stats.Arena, vi int) (*caseRun, error) {
-		v := variants[vi]
-		e := sim.NewEngine(opts.Seed)
-		n, sources, err := modelNetwork(e, a, v.mode, v.limits)
-		if err != nil {
-			return nil, fmt.Errorf("figures: fig7 %s: %w", v.name, err)
-		}
-		inj, err := attack.NewDirectInjector(n, 2, d)
-		if err != nil {
-			return nil, err
-		}
-		b, err := attack.NewBurster(e, inj, params)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range sources {
-			s.Start()
-		}
-		e.Run(5 * time.Second)
-		n.ResetTierSamples()
-		b.Start()
-		e.Run(5*time.Second + horizon)
-		b.Stop()
-		for _, s := range sources {
-			s.Stop()
-		}
-		if err := e.RunAll(100_000_000); err != nil {
-			return nil, fmt.Errorf("figures: fig7 %s drain: %w", v.name, err)
-		}
-
-		// Client RT: merge the per-source samples (deep class dominates).
-		client := stats.NewSampleIn(a, 4096)
-		for _, s := range sources {
-			for _, rt := range s.ClientRT().Values() {
-				client.Add(rt)
-			}
-		}
-		cr := &caseRun{
-			curves: map[string][]time.Duration{"client": client.PercentileCurve(fig7Percentiles)},
-			order:  []string{"client"},
-		}
-		for i, name := range rubbosTierNames() {
-			sample, err := n.TierRT(i)
+	return &job[fig7Record]{
+		n: len(variants),
+		run: func(a *stats.Arena, vi int) (fig7Record, error) {
+			v := variants[vi]
+			e := sim.NewEngine(opts.Seed)
+			n, sources, err := modelNetwork(e, a, v.mode, v.limits, true)
 			if err != nil {
-				return nil, err
+				return fig7Record{}, fmt.Errorf("figures: fig7 %s: %w", v.name, err)
 			}
-			cr.curves[name] = sample.PercentileCurve(fig7Percentiles)
-			cr.order = append(cr.order, name)
-		}
+			b, err := startModelAttack(e, n, sources)
+			if err != nil {
+				return fig7Record{}, err
+			}
+			n.ResetTierSamples()
+			b.Start()
+			e.Run(5*time.Second + horizon)
+			stopModelAttack(b, sources)
+			if err := e.RunAll(100_000_000); err != nil {
+				return fig7Record{}, fmt.Errorf("figures: fig7 %s drain: %w", v.name, err)
+			}
 
-		mysqlSample, err := n.TierRT(2)
-		if err != nil {
-			return nil, err
-		}
-		cr.result = Fig7CaseResult{
-			ClientP99: client.Percentile(99),
-			MySQLP99:  mysqlSample.Percentile(99),
-			Drops:     n.Drops(),
-		}
-		cr.result.SpreadP99 = cr.result.ClientP99 - cr.result.MySQLP99
-		return cr, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range variants {
-		cr := runs[i]
-		if err := writeCurves(opts.path(fmt.Sprintf("fig7_%s.csv", v.name)), fig7Percentiles, cr.order, cr.curves); err != nil {
-			return nil, err
-		}
-		res.Cases[v.name] = cr.result
-	}
-	return res, nil
+			// Client RT: merge the per-source samples (deep class dominates).
+			client := stats.NewSampleIn(a, 4096)
+			for _, s := range sources {
+				for _, rt := range s.ClientRT().Values() {
+					client.Add(rt)
+				}
+			}
+			rec := fig7Record{Curves: [][]time.Duration{client.PercentileCurve(fig7Percentiles)}}
+			for i := range rubbosTierNames() {
+				sample, err := n.TierRT(i)
+				if err != nil {
+					return fig7Record{}, err
+				}
+				rec.Curves = append(rec.Curves, sample.PercentileCurve(fig7Percentiles))
+			}
+
+			mysqlSample, err := n.TierRT(2)
+			if err != nil {
+				return fig7Record{}, err
+			}
+			rec.Result = Fig7CaseResult{
+				ClientP99: client.Percentile(99),
+				MySQLP99:  mysqlSample.Percentile(99),
+				Drops:     n.Drops(),
+			}
+			rec.Result.SpreadP99 = rec.Result.ClientP99 - rec.Result.MySQLP99
+			return rec, nil
+		},
+		finalize: func(runs []fig7Record) (any, string, error) {
+			res := &Fig7Result{Cases: make(map[Fig7Case]Fig7CaseResult)}
+			order := append([]string{"client"}, rubbosTierNames()...)
+			for i, v := range variants {
+				curves := make(map[string][]time.Duration, len(order))
+				for k, name := range order {
+					curves[name] = runs[i].Curves[k]
+				}
+				if err := writeCurves(opts.path(fmt.Sprintf("fig7_%s.csv", v.name)), fig7Percentiles, order, curves); err != nil {
+					return nil, "", err
+				}
+				res.Cases[v.name] = runs[i].Result
+			}
+			return res, fmt.Sprintf("fig7: finite-queue spread p99=%v", res.Cases[Fig7Finite].SpreadP99), nil
+		},
+	}, nil
+}
+
+// Fig7 runs the three variants and writes one percentile-curve CSV per
+// case.
+func Fig7(opts Options) (*Fig7Result, error) {
+	return runFigure[*Fig7Result](opts, newFig7Job)
 }

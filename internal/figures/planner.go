@@ -29,15 +29,13 @@ type PlannerResult struct {
 	MinSmallerP99 time.Duration
 }
 
-func init() {
-	registerDist(DistDriver{Name: "planner", New: newPlannerRun})
-}
+func init() { register("planner", newPlannerJob) }
 
-// newPlannerRun prepares the planner-validation driver. plan.Solve runs
-// once per process here (plan.NewValidation), so every worker sizes the
-// grid identically and the per-index jobs stay sim-only; each job record
-// is one gob-encoded plan.CellResult (no map fields, stable bytes).
-func newPlannerRun(opts Options) (*DistRun, error) {
+// newPlannerJob prepares the planner-validation job. plan.Solve runs once
+// per process here (plan.NewValidation), so every worker sizes the grid
+// identically and the per-index runs stay sim-only; each record is one
+// plan.CellResult (no map fields, stable gob bytes).
+func newPlannerJob(opts Options) (*job[plan.CellResult], error) {
 	vopts := plan.ValidateOptions{
 		BaseSeed: opts.Seed,
 		Duration: opts.duration(160 * time.Second),
@@ -47,24 +45,12 @@ func newPlannerRun(opts Options) (*DistRun, error) {
 		return nil, err
 	}
 	slo := spec.DefaultSLO()
-	return &DistRun{
-		Jobs: v.Jobs(),
-		Job: func(_ *stats.Arena, i int) ([]byte, error) {
-			// Planner runs manage their own stats (see plan.Validate); the
-			// worker arena is unused here.
-			r, err := v.Run(i)
-			if err != nil {
-				return nil, err
-			}
-			return encodeRecord(r)
-		},
-		Finalize: func(payloads [][]byte) (any, string, error) {
-			results := make([]plan.CellResult, len(payloads))
-			for i, data := range payloads {
-				if err := decodeRecord(data, &results[i]); err != nil {
-					return nil, "", err
-				}
-			}
+	return &job[plan.CellResult]{
+		n: v.Jobs(),
+		// Planner runs manage their own stats (see plan.Validate); the
+		// worker arena is unused here.
+		run: func(_ *stats.Arena, i int) (plan.CellResult, error) { return v.Run(i) },
+		finalize: func(results []plan.CellResult) (any, string, error) {
 			res := &PlannerResult{
 				Cells:             len(plan.DefaultGrid()),
 				Runs:              len(results),
@@ -104,9 +90,5 @@ func newPlannerRun(opts Options) (*DistRun, error) {
 // per cell and seed, byte-identical at any worker count — and, via the
 // dist driver, at any shard count).
 func FigPlanner(opts Options) (*PlannerResult, error) {
-	res, _, err := runDistLocal("planner", opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.(*PlannerResult), nil
+	return runFigure[*PlannerResult](opts, newPlannerJob)
 }

@@ -1,10 +1,18 @@
 package figures
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+
+	"memca/internal/dsweep"
+	"memca/internal/stats"
+	"memca/internal/sweep"
 )
 
 // equivalenceWorkers are the worker counts the parallel-vs-serial
@@ -12,62 +20,44 @@ import (
 // power-of-two in between.
 var equivalenceWorkers = []int{1, 4, 8}
 
-// sweepDrivers enumerates every figure driver that fans out over the
-// sweep engine, each returning a scalar fingerprint of its result.
-// fmt prints map keys in sorted order, so equal fingerprints mean
-// equal results.
-var sweepDrivers = []struct {
+// equivalenceShards cover the serial case, the power-of-two ladder, and
+// more shards than some drivers have jobs (empty shards must merge too).
+var equivalenceShards = []int{1, 2, 4, 8}
+
+// shardedDrivers additionally run sharded and through a kill/resume: the
+// headline figure, one ablation sweep, the planner validation (the
+// largest job grid), and the detector grid (the richest record type).
+var shardedDrivers = []string{"fig2", "ablation-interval", "planner", "detectors"}
+
+// equivalenceFigure is the exported figure function a dist driver backs.
+type equivalenceFigure struct {
 	name string
-	run  func(Options) (string, error)
-}{
-	{"Fig2", func(o Options) (string, error) {
-		res, err := Fig2(o)
-		return fingerprint(res), err
-	}},
-	{"Fig3", func(o Options) (string, error) {
-		res, err := Fig3(o)
-		return fingerprint(res), err
-	}},
-	{"Fig6", func(o Options) (string, error) {
-		res, err := Fig6(o)
-		return fingerprint(res), err
-	}},
-	{"Fig7", func(o Options) (string, error) {
-		res, err := Fig7(o)
-		return fingerprint(res), err
-	}},
-	{"AblationBurstLength", func(o Options) (string, error) {
-		res, err := AblationBurstLength(o)
-		return fingerprint(res), err
-	}},
-	{"AblationMechanisms", func(o Options) (string, error) {
-		res, err := AblationMechanisms(o)
-		return fingerprint(res), err
-	}},
-	{"DetectorComparison", func(o Options) (string, error) {
-		res, err := DetectorComparison(o)
-		return fingerprint(res), err
-	}},
-	{"JitterEvasion", func(o Options) (string, error) {
-		res, err := JitterEvasion(o)
-		return fingerprint(res), err
-	}},
-	{"DefenseEvaluation", func(o Options) (string, error) {
-		res, err := DefenseEvaluation(o)
-		return fingerprint(res), err
-	}},
-	{"FlashCrowd", func(o Options) (string, error) {
-		res, err := FlashCrowd(o)
-		return fingerprint(res), err
-	}},
-	{"FigAttribution", func(o Options) (string, error) {
-		res, err := FigAttribution(o)
-		return fingerprint(res), err
-	}},
-	{"FigPlanner", func(o Options) (string, error) {
-		res, err := FigPlanner(o)
-		return fingerprint(res), err
-	}},
+	run  func(Options) (any, error)
+}
+
+func figureFunc[T any](name string, f func(Options) (T, error)) equivalenceFigure {
+	return equivalenceFigure{name, func(o Options) (any, error) { return f(o) }}
+}
+
+// driverFigures maps every registered dist driver to its exported figure
+// function; subtests are named after the function.
+var driverFigures = map[string]equivalenceFigure{
+	"fig2":                          figureFunc("Fig2", Fig2),
+	"fig3":                          figureFunc("Fig3", Fig3),
+	"fig6":                          figureFunc("Fig6", Fig6),
+	"fig7":                          figureFunc("Fig7", Fig7),
+	"ablation-burst-length":         figureFunc("AblationBurstLength", AblationBurstLength),
+	"ablation-interval":             figureFunc("AblationInterval", AblationInterval),
+	"ablation-mechanisms":           figureFunc("AblationMechanisms", AblationMechanisms),
+	"ablation-adversaries":          figureFunc("AblationAdversaries", AblationAdversaries),
+	"ablation-load":                 figureFunc("AblationLoad", AblationLoad),
+	"ablation-service-distribution": figureFunc("AblationServiceDistribution", AblationServiceDistribution),
+	"planner":                       figureFunc("FigPlanner", FigPlanner),
+	"evasion":                       figureFunc("JitterEvasion", JitterEvasion),
+	"defense":                       figureFunc("DefenseEvaluation", DefenseEvaluation),
+	"detectors":                     figureFunc("DetectorComparison", DetectorComparison),
+	"crowd":                         figureFunc("FlashCrowd", FlashCrowd),
+	"attribution":                   figureFunc("FigAttribution", FigAttribution),
 }
 
 func fingerprint(res any) string { return fmt.Sprintf("%#v", res) }
@@ -97,54 +87,271 @@ func readArtifacts(t *testing.T, dir string) map[string][]byte {
 	return files
 }
 
-// TestSweepWorkerEquivalence pins the engine's core contract at the
-// figure level: every driver converted onto internal/sweep produces
-// byte-identical CSV artifacts and identical scalar results for every
-// worker count. A regression here means parallelism leaked into the
-// results — the one thing the sweep engine exists to prevent.
+// outputs is one run's observable result: the scalar fingerprint (fmt
+// prints map keys sorted, so equal fingerprints mean equal results) and
+// the CSV artifacts it wrote.
+type outputs struct {
+	print string
+	files map[string][]byte
+}
+
+// requireEqual fails unless got matches the reference run exactly.
+func (ref outputs) requireEqual(t *testing.T, what string, got outputs) {
+	t.Helper()
+	if got.print != ref.print {
+		t.Errorf("%s: scalars differ from the serial local run:\n%s\nvs\n%s", what, got.print, ref.print)
+	}
+	if len(got.files) != len(ref.files) {
+		t.Errorf("%s wrote %d artifacts, the serial local run %d", what, len(got.files), len(ref.files))
+	}
+	for name, want := range ref.files {
+		if data, ok := got.files[name]; !ok {
+			t.Errorf("%s did not write %s", what, name)
+		} else if !bytes.Equal(data, want) {
+			t.Errorf("%s: artifact %s differs from the serial local run", what, name)
+		}
+	}
+}
+
+// TestSweepWorkerEquivalence pins the one job model's contract for every
+// registered driver: the in-process path produces identical scalars and
+// byte-identical CSV artifacts at every worker count, and so does the
+// sharding adapter, whose records all pass through encode and decode.
+// A regression here means parallelism, the record codec, or a job's
+// purity leaked into the results.
 func TestSweepWorkerEquivalence(t *testing.T) {
-	for _, d := range sweepDrivers {
-		d := d
-		t.Run(d.name, func(t *testing.T) {
-			var refPrint string
-			var refFiles map[string][]byte
+	for _, name := range DistDrivers() {
+		fig, ok := driverFigures[name]
+		if !ok {
+			t.Errorf("dist driver %q has no figure function in driverFigures", name)
+			continue
+		}
+		t.Run(fig.name, func(t *testing.T) {
+			t.Parallel()
+			var ref outputs
 			for wi, workers := range equivalenceWorkers {
 				dir := t.TempDir()
-				opts := Options{OutDir: dir, Quick: true, Seed: 7, Parallel: workers}
-				print, err := d.run(opts)
+				res, err := fig.run(Options{OutDir: dir, Quick: true, Seed: 7, Parallel: workers})
 				if err != nil {
-					t.Fatalf("%s with %d workers: %v", d.name, workers, err)
+					t.Fatalf("%d workers: %v", workers, err)
 				}
-				files := readArtifacts(t, dir)
-				if len(files) == 0 {
-					t.Fatalf("%s with %d workers wrote no artifacts", d.name, workers)
-				}
+				got := outputs{fingerprint(res), readArtifacts(t, dir)}
 				if wi == 0 {
-					refPrint, refFiles = print, files
+					if len(got.files) == 0 {
+						t.Fatal("serial local run wrote no artifacts")
+					}
+					ref = got
 					continue
 				}
-				if print != refPrint {
-					t.Errorf("%s scalars differ between %d and %d workers:\n%s\nvs\n%s",
-						d.name, equivalenceWorkers[0], workers, refPrint, print)
-				}
-				if len(files) != len(refFiles) {
-					t.Errorf("%s wrote %d artifacts with %d workers, %d with %d",
-						d.name, len(refFiles), equivalenceWorkers[0], len(files), workers)
-				}
-				for name, ref := range refFiles {
-					got, ok := files[name]
-					if !ok {
-						t.Errorf("%s with %d workers did not write %s", d.name, workers, name)
-						continue
-					}
-					if string(got) != string(ref) {
-						t.Errorf("%s artifact %s differs between %d and %d workers",
-							d.name, name, equivalenceWorkers[0], workers)
-					}
-				}
+				ref.requireEqual(t, fmt.Sprintf("%d workers", workers), got)
+			}
+
+			_, got := runEncoded(t, name)
+			ref.requireEqual(t, "encoded records", got)
+		})
+	}
+}
+
+// TestDistShardEquivalence pins the fabric's core contract at the figure
+// level: for every shard count, the merged artifact is byte-identical to
+// the canonical encoding of an in-process run, and the finalized scalars
+// and CSV artifacts are identical too. A regression here means the shard
+// plan, the record codec, or a driver's job purity leaked into results.
+func TestDistShardEquivalence(t *testing.T) {
+	for _, name := range shardedDrivers {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			merged, ref := encodedReference(t, name)
+			for _, shards := range equivalenceShards {
+				requireSharded(t, name, shards, merged, ref)
 			}
 		})
 	}
+}
+
+// TestDistKillResumeEquivalence kills one worker mid-shard, resumes it,
+// and requires the final merged artifact and CSVs to be byte-identical
+// to an in-process run: the crash must leave no trace in the results.
+func TestDistKillResumeEquivalence(t *testing.T) {
+	for _, name := range shardedDrivers {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			merged, ref := encodedReference(t, name)
+			requireKillResume(t, name, merged, ref)
+		})
+	}
+}
+
+// encodedRef is one driver's runEncoded result, computed once and shared
+// by the shard and kill/resume tests.
+type encodedRef struct {
+	once   sync.Once
+	merged []byte
+	out    outputs
+	ok     bool
+}
+
+var (
+	encodedRefsMu sync.Mutex
+	encodedRefs   = map[string]*encodedRef{}
+)
+
+// encodedReference returns the driver's cached runEncoded result, running
+// it on first use.
+func encodedReference(t *testing.T, name string) ([]byte, outputs) {
+	t.Helper()
+	encodedRefsMu.Lock()
+	r, ok := encodedRefs[name]
+	if !ok {
+		r = &encodedRef{}
+		encodedRefs[name] = r
+	}
+	encodedRefsMu.Unlock()
+	r.once.Do(func() {
+		r.merged, r.out = runEncoded(t, name)
+		r.ok = true
+	})
+	if !r.ok {
+		t.Fatalf("%s: in-process reference run failed", name)
+	}
+	return r.merged, r.out
+}
+
+// runEncoded runs a driver's DistRun in process over the sweep engine,
+// one fresh arena per job, and finalizes the encoded records. It returns
+// their canonical merged encoding and the finalized outputs, which
+// TestSweepWorkerEquivalence proves equal to the local path's.
+func runEncoded(t *testing.T, name string) ([]byte, outputs) {
+	t.Helper()
+	dir := t.TempDir()
+	o := Options{OutDir: dir, Quick: true, Seed: 7}
+	d, ok := LookupDist(name)
+	if !ok {
+		t.Fatalf("no dist driver %q", name)
+	}
+	r, err := d.New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads, err := sweep.Run(context.Background(), sweep.Options{}, r.Jobs, func(_ context.Context, i int) ([]byte, error) {
+		a := stats.GetArena()
+		defer stats.PutArena(a)
+		return r.Job(a, i)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := r.Finalize(payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sweep.EncodeRecords(payloads), outputs{fingerprint(res), readArtifacts(t, dir)}
+}
+
+// writeDistManifest builds and persists a manifest for the driver into a
+// fresh temp dir, returning the stamped (hashed) manifest.
+func writeDistManifest(t *testing.T, name string, o Options, shards int) *dsweep.Manifest {
+	t.Helper()
+	dir := t.TempDir()
+	m, err := NewManifest(name, o, shards, filepath.Join(dir, "artifacts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dsweep.WriteManifest(filepath.Join(dir, "manifest.json"), m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// finishDist merges a manifest's shards and finalizes the run, requiring
+// the merged artifact and the outputs to match the references.
+func finishDist(t *testing.T, what string, m *dsweep.Manifest, merged []byte, ref outputs) {
+	t.Helper()
+	if err := dsweep.Merge(m); err != nil {
+		t.Fatalf("%s: merge: %v", what, err)
+	}
+	data, err := os.ReadFile(m.MergedPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, merged) {
+		t.Errorf("%s: merged artifact differs from the in-process records (%d vs %d bytes)", what, len(data), len(merged))
+	}
+	res, _, err := RunDistributed(m)
+	if err != nil {
+		t.Fatalf("%s: finalize: %v", what, err)
+	}
+	ref.requireEqual(t, what, outputs{fingerprint(res), readArtifacts(t, m.OutDir)})
+}
+
+// requireSharded runs every shard of a fresh manifest concurrently (each
+// an independent worker with its own artifact file and arena) and
+// requires the merged, finalized run to match the references.
+func requireSharded(t *testing.T, name string, shards int, merged []byte, ref outputs) {
+	t.Helper()
+	m := writeDistManifest(t, name, Options{OutDir: t.TempDir(), Quick: true, Seed: 7}, shards)
+	var wg sync.WaitGroup
+	errs := make([]error, shards)
+	for s := range errs {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			errs[s] = RunShard(context.Background(), m, s, dsweep.ShardOptions{})
+		}(s)
+	}
+	wg.Wait()
+	for s, err := range errs {
+		if err != nil {
+			t.Fatalf("%d shards: shard %d: %v", shards, s, err)
+		}
+	}
+	finishDist(t, fmt.Sprintf("%d shards", shards), m, merged, ref)
+}
+
+// requireKillResume kills one worker mid-shard (the deterministic
+// injected crash standing in for kill -9), verifies the partial state
+// refuses to merge, resumes the shard, and requires the final run to
+// match the references — the crash must leave no trace in the results.
+func requireKillResume(t *testing.T, name string, merged []byte, ref outputs) {
+	t.Helper()
+	const shards = 3
+	m := writeDistManifest(t, name, Options{OutDir: t.TempDir(), Quick: true, Seed: 7}, shards)
+
+	// Kill shard 0 partway: after one record when it owns several jobs,
+	// right after the durable header when it owns one.
+	budget := 0
+	if sweep.ShardSize(m.Jobs, m.Shards, 0) > 1 {
+		budget = 1
+	}
+	err := RunShard(context.Background(), m, 0, dsweep.ShardOptions{InjectCrash: true, MaxRecords: budget})
+	if !errors.Is(err, dsweep.ErrCrashInjected) {
+		t.Fatalf("crashing run returned %v, want ErrCrashInjected", err)
+	}
+	for s := 1; s < shards; s++ {
+		if err := RunShard(context.Background(), m, s, dsweep.ShardOptions{}); err != nil {
+			t.Fatalf("shard %d: %v", s, err)
+		}
+	}
+	if err := dsweep.Merge(m); err == nil {
+		t.Fatal("merge succeeded with a crashed, incomplete shard")
+	}
+
+	// Resume: the worker picks up from the durable checkpoint.
+	recovered := -1
+	err = RunShard(context.Background(), m, 0, dsweep.ShardOptions{
+		Progress: func(done, total int) {
+			if recovered < 0 {
+				recovered = done
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if budget > 0 && recovered < budget {
+		t.Errorf("resume re-ran checkpointed jobs: first progress %d, want >= %d", recovered, budget)
+	}
+	finishDist(t, "kill+resume", m, merged, ref)
 }
 
 // TestSweepProgressTotals pins the progress hook: one callback per run,

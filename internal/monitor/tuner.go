@@ -128,9 +128,11 @@ func TuneCPUDetectors(clean []stats.Bucket) (TunedCPUDetectors, error) {
 	var tuned TunedCPUDetectors
 
 	// Hard threshold: lowest level (5% steps) that never fires twice in a
-	// row on the baseline.
+	// row on the baseline. The detector fires on Mean > Threshold, so the
+	// 100% level is the honest "never fires" point for a baseline that
+	// already saturates the CPU.
 	found := false
-	for level := 5; level <= 95; level += 5 {
+	for level := 5; level <= 100; level += 5 {
 		d := ThresholdDetector{Threshold: float64(level) / 100, MinConsecutive: 2}
 		if len(d.Detect(clean)) == 0 {
 			tuned.Threshold = d

@@ -147,3 +147,28 @@ func TestTuneCPUDetectors(t *testing.T) {
 		t.Error("empty clean baseline accepted")
 	}
 }
+
+// TestTuneCPUDetectorsSaturatedBaseline pins the top of the threshold
+// grid: a clean baseline that runs at 95-100% CPU leaves 100% as the only
+// silent level, and tuning must return it rather than fail.
+func TestTuneCPUDetectorsSaturatedBaseline(t *testing.T) {
+	clean := make([]stats.Bucket, 60)
+	for i := range clean {
+		clean[i] = stats.Bucket{
+			Start: time.Duration(i) * time.Second,
+			Mean:  0.95 + 0.025*float64(i%3),
+		}
+	}
+	tuned, err := TuneCPUDetectors(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tuned.Threshold.Threshold != 1 {
+		t.Errorf("tuned threshold = %v, want 1.00 (the only silent level)", tuned.Threshold.Threshold)
+	}
+	for _, d := range tuned.Detectors() {
+		if alarms := d.Detect(clean); len(alarms) != 0 {
+			t.Errorf("tuned %s alarms %d times on its saturated baseline", d.Name(), len(alarms))
+		}
+	}
+}

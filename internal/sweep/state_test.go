@@ -106,21 +106,23 @@ func TestRunStateAcquirePerWorker(t *testing.T) {
 // every acquired state being released exactly once — workers that exit
 // early on the recorded failure included.
 func TestRunStateReleaseOnFailure(t *testing.T) {
-	boom := errors.New("boom")
-	tracker := &stateTracker{}
-	_, err := RunState(context.Background(), Options{Workers: 4}, 64,
-		tracker.acquire, tracker.release,
-		func(_ context.Context, s *trackedState, i int) (int, error) {
-			s.served++
-			if i == 13 {
-				return 0, boom
-			}
-			return i, nil
-		})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
+	for _, workers := range []int{1, 4} {
+		boom := errors.New("boom")
+		tracker := &stateTracker{}
+		_, err := RunState(context.Background(), Options{Workers: workers}, 64,
+			tracker.acquire, tracker.release,
+			func(_ context.Context, s *trackedState, i int) (int, error) {
+				s.served++
+				if i == 13 {
+					return 0, boom
+				}
+				return i, nil
+			})
+		if !errors.Is(err, boom) {
+			t.Fatalf("%d workers: err = %v, want %v", workers, err, boom)
+		}
+		tracker.audit(t, workers, -1)
 	}
-	tracker.audit(t, 4, -1)
 }
 
 // TestRunStateReleaseOnCancellation cancels the caller's context mid-sweep
@@ -128,27 +130,29 @@ func TestRunStateReleaseOnFailure(t *testing.T) {
 // every state, so pooled resources (arenas) are never leaked by an
 // interrupted run.
 func TestRunStateReleaseOnCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	tracker := &stateTracker{}
-	var done atomic.Int64
-	_, err := RunState(ctx, Options{Workers: 4}, 500,
-		tracker.acquire, tracker.release,
-		func(ctx context.Context, s *trackedState, i int) (int, error) {
-			s.served++
-			if done.Add(1) == 40 {
-				cancel()
-			}
-			select {
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			default:
-				return i, nil
-			}
-		})
-	if err == nil {
-		t.Fatal("canceled sweep reported success")
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		tracker := &stateTracker{}
+		var done atomic.Int64
+		_, err := RunState(ctx, Options{Workers: workers}, 500,
+			tracker.acquire, tracker.release,
+			func(ctx context.Context, s *trackedState, i int) (int, error) {
+				s.served++
+				if done.Add(1) == 40 {
+					cancel()
+				}
+				select {
+				case <-ctx.Done():
+					return 0, ctx.Err()
+				default:
+					return i, nil
+				}
+			})
+		if err == nil {
+			t.Fatalf("%d workers: canceled sweep reported success", workers)
+		}
+		tracker.audit(t, workers, -1)
 	}
-	tracker.audit(t, 4, -1)
 }
 
 // TestRunStateNilHooks covers the Run delegation shape: nil acquire and

@@ -119,6 +119,9 @@ func RunState[T, S any](ctx context.Context, opts Options, n int, acquire func()
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	if opts.workerCount(n) == 1 {
+		return runSerial(ctx, opts, n, acquire, release, job)
+	}
 
 	results := make([]T, n)
 	errs := make([]error, n)
@@ -211,6 +214,40 @@ func RunState[T, S any](ctx context.Context, opts Options, n int, acquire func()
 		if !ran[i] {
 			return nil, fmt.Errorf("sweep: job %d never ran", i)
 		}
+	}
+	return results, nil
+}
+
+// runSerial is RunState's one-worker path: the same dispatch order,
+// state lifecycle, progress calls and error semantics, run inline on the
+// caller's goroutine. A serial sweep starts no goroutines, so its
+// allocation count does not depend on GOMAXPROCS.
+func runSerial[T, S any](ctx context.Context, opts Options, n int, acquire func() S, release func(S), job StateJob[T, S]) ([]T, error) {
+	var state S
+	if acquire != nil {
+		state = acquire()
+	}
+	if release != nil {
+		defer release(state)
+	}
+	results := make([]T, n)
+	for i := range results {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		res, err := job(ctx, state, i)
+		if err != nil {
+			return nil, fmt.Errorf("sweep: job %d: %w", i, err)
+		}
+		results[i] = res
+		if opts.Progress != nil {
+			opts.Progress(i+1, n)
+		}
+	}
+	// A canceled sweep never reports success, even when every job
+	// happened to finish first.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return results, nil
 }

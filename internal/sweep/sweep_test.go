@@ -119,39 +119,43 @@ func TestRunErrorLowestIndex(t *testing.T) {
 // TestRunCancellation cancels the caller context mid-sweep and checks
 // that Run returns the context error instead of a partial result.
 func TestRunCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var once sync.Once
-	_, err := Run(ctx, Options{Workers: 2}, 100, func(ctx context.Context, i int) (int, error) {
-		once.Do(cancel)
-		return i, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run after cancellation = %v, want context.Canceled", err)
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var once sync.Once
+		_, err := Run(ctx, Options{Workers: workers}, 100, func(ctx context.Context, i int) (int, error) {
+			once.Do(cancel)
+			return i, nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run with %d workers after cancellation = %v, want context.Canceled", workers, err)
+		}
 	}
 }
 
 // TestRunProgress checks the progress callback: serialized monotone
 // counts ending at (total, total) on success.
 func TestRunProgress(t *testing.T) {
-	var mu sync.Mutex
-	var seen []int
-	opts := Options{Workers: 4, Progress: func(done, total int) {
-		if total != 20 {
-			t.Errorf("progress total = %d, want 20", total)
+	for _, workers := range []int{1, 4} {
+		var mu sync.Mutex
+		var seen []int
+		opts := Options{Workers: workers, Progress: func(done, total int) {
+			if total != 20 {
+				t.Errorf("progress total = %d, want 20", total)
+			}
+			mu.Lock()
+			seen = append(seen, done)
+			mu.Unlock()
+		}}
+		if _, err := Run(context.Background(), opts, 20, func(_ context.Context, i int) (int, error) { return i, nil }); err != nil {
+			t.Fatal(err)
 		}
-		mu.Lock()
-		seen = append(seen, done)
-		mu.Unlock()
-	}}
-	if _, err := Run(context.Background(), opts, 20, func(_ context.Context, i int) (int, error) { return i, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 20 {
-		t.Fatalf("progress fired %d times, want 20", len(seen))
-	}
-	for i, d := range seen {
-		if d != i+1 {
-			t.Fatalf("progress counts %v not monotone", seen)
+		if len(seen) != 20 {
+			t.Fatalf("%d workers: progress fired %d times, want 20", workers, len(seen))
+		}
+		for i, d := range seen {
+			if d != i+1 {
+				t.Fatalf("%d workers: progress counts %v not monotone", workers, seen)
+			}
 		}
 	}
 }

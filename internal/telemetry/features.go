@@ -170,3 +170,11 @@ func (fs *FeatureSeries) Windows() []WindowFeatures { return fs.windows }
 func (fs *FeatureSeries) WindowStart(i int) time.Duration {
 	return fs.base + time.Duration(i)*fs.Res
 }
+
+// RestoreFeatureSeries rebuilds a finished series from what its
+// accessors expose (Res, TailThreshold, Base, Windows) — the form a copy
+// takes to cross a process boundary. Detectors read the restored series
+// exactly like the original; Add never grows it past the given windows.
+func RestoreFeatureSeries(res, tailThreshold, base time.Duration, windows []WindowFeatures) FeatureSeries {
+	return FeatureSeries{Res: res, TailThreshold: tailThreshold, base: base, windows: windows[:len(windows):len(windows)]}
+}

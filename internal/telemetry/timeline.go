@@ -155,3 +155,10 @@ func BlindnessRatio(fine, coarse *Timeline) float64 {
 	}
 	return float64(fp) / float64(cm)
 }
+
+// RestoreTimeline rebuilds a finished timeline from what its accessors
+// expose (Res, Base, Points) — the form a copy takes to cross a process
+// boundary. Add never grows it past the given points.
+func RestoreTimeline(res, base time.Duration, points []TimelinePoint) Timeline {
+	return Timeline{Res: res, base: base, points: points[:len(points):len(points)]}
+}
