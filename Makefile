@@ -63,7 +63,7 @@ fuzz:
 # additionally gated per the baseline's gate_ns_pct when the CPU matches
 # the one that produced the baseline. The unanchored QueueingThroughput
 # pattern also matches its Traced variant.
-BENCH_REGRESSION = BenchmarkEngineEvents|BenchmarkQueueingThroughput|BenchmarkFig2TailAmplification|BenchmarkStatsRecord|BenchmarkFeatureExtract
+BENCH_REGRESSION = BenchmarkEngineEvents|BenchmarkEngineHold|BenchmarkQueueingThroughput|BenchmarkFig2TailAmplification|BenchmarkStatsRecord|BenchmarkFeatureExtract
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_REGRESSION)' -benchmem . \
 		| tee /dev/stderr \

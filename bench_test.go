@@ -300,6 +300,33 @@ func BenchmarkEngineEvents(b *testing.B) {
 	}
 }
 
+// holdActor reschedules itself with an exponential increment on every
+// firing, keeping the engine's pending count constant.
+type holdActor struct{ e *sim.Engine }
+
+func (h holdActor) Act(any) {
+	h.e.ScheduleCall(time.Duration(h.e.Rand().ExpFloat64()*float64(time.Millisecond)), h, nil)
+}
+
+// BenchmarkEngineHold is the classic hold model: 4096 pending events with
+// exponential increments from a seeded source, and each op pops one event
+// and pushes one. Unlike BenchmarkEngineEvents, whose heap never holds
+// more than one entry, it measures sift cost at a realistic heap depth.
+func BenchmarkEngineHold(b *testing.B) {
+	const pending = 4096
+	e := sim.NewEngine(1)
+	h := holdActor{e: e}
+	for i := 0; i < pending; i++ {
+		h.Act(nil)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !e.Step() {
+			b.Fatal("hold model ran dry")
+		}
+	}
+}
+
 // BenchmarkQueueingThroughput measures simulated requests per wall second
 // through the full 3-tier RPC network.
 func BenchmarkQueueingThroughput(b *testing.B) {

@@ -6,7 +6,6 @@ import (
 
 	"memca/internal/plan"
 	"memca/internal/spec"
-	"memca/internal/stats"
 )
 
 // PlannerResult captures the capacity-planner validation sweep: the
@@ -34,7 +33,9 @@ func init() { register("planner", newPlannerJob) }
 // newPlannerJob prepares the planner-validation job. plan.Solve runs once
 // per process here (plan.NewValidation), so every worker sizes the grid
 // identically and the per-index runs stay sim-only; each record is one
-// plan.CellResult (no map fields, stable gob bytes).
+// plan.CellResult (no map fields, stable gob bytes). Both simulations of
+// a run record into the worker arena, which Validation.Run resets after
+// each of them.
 func newPlannerJob(opts Options) (*job[plan.CellResult], error) {
 	vopts := plan.ValidateOptions{
 		BaseSeed: opts.Seed,
@@ -46,10 +47,8 @@ func newPlannerJob(opts Options) (*job[plan.CellResult], error) {
 	}
 	slo := spec.DefaultSLO()
 	return &job[plan.CellResult]{
-		n: v.Jobs(),
-		// Planner runs manage their own stats (see plan.Validate); the
-		// worker arena is unused here.
-		run: func(_ *stats.Arena, i int) (plan.CellResult, error) { return v.Run(i) },
+		n:   v.Jobs(),
+		run: v.Run,
 		finalize: func(results []plan.CellResult) (any, string, error) {
 			res := &PlannerResult{
 				Cells:             len(plan.DefaultGrid()),

@@ -1,13 +1,13 @@
 package plan
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"time"
 
 	"memca/internal/core"
 	"memca/internal/spec"
+	"memca/internal/stats"
 	"memca/internal/sweep"
 	"memca/internal/trace"
 )
@@ -50,11 +50,6 @@ type ValidateOptions struct {
 	Duration time.Duration
 	// Warmup is discarded before measurement (zero: 15 s).
 	Warmup time.Duration
-	// Workers bounds sweep concurrency (see sweep.Options); results are
-	// identical for every value.
-	Workers int
-	// Progress, when non-nil, receives (done, total) after each run.
-	Progress func(done, total int)
 }
 
 func (o ValidateOptions) cells() []Cell {
@@ -168,7 +163,12 @@ func (v *Validation) Jobs() int { return len(v.cells) * len(v.seeds) }
 // Run replays job index i — one (cell, seed) pair, both the chosen sizing
 // and its minimality witness — through the closed-loop simulator. It is a
 // pure function of the index, safe to call from any worker in any order.
-func (v *Validation) Run(i int) (CellResult, error) {
+//
+// A non-nil arena backs the stats of both simulations and is Reset after
+// each one, so the caller must hold nothing checked out from it; the
+// result holds no arena memory. A nil arena runs heap-backed, with
+// identical results.
+func (v *Validation) Run(a *stats.Arena, i int) (CellResult, error) {
 	if i < 0 || i >= v.Jobs() {
 		return CellResult{}, fmt.Errorf("plan: validation job index %d out of range [0,%d)", i, v.Jobs())
 	}
@@ -183,14 +183,14 @@ func (v *Validation) Run(i int) (CellResult, error) {
 		ThreadScale:     p.res.Sizing.ThreadScale,
 		SmallerReplicas: p.res.NextSmaller.Replicas,
 	}
-	p99, dropRate, err := simulate(p.res.Sizing.System, p.req.Traffic, seed, v.opts.duration(), v.opts.warmup())
+	p99, dropRate, err := simulate(a, p.res.Sizing.System, p.req.Traffic, seed, v.opts.duration(), v.opts.warmup())
 	if err != nil {
 		return CellResult{}, err
 	}
 	out.SizedP99, out.SizedDropRate = p99, dropRate
 	out.SizedOK = p99 <= v.slo.TargetRT && dropRate <= v.slo.MaxDropRate
 
-	p99, dropRate, err = simulate(p.res.NextSmaller.System, p.req.Traffic, seed, v.opts.duration(), v.opts.warmup())
+	p99, dropRate, err = simulate(a, p.res.NextSmaller.System, p.req.Traffic, seed, v.opts.duration(), v.opts.warmup())
 	if err != nil {
 		return CellResult{}, err
 	}
@@ -199,27 +199,16 @@ func (v *Validation) Run(i int) (CellResult, error) {
 	return out, nil
 }
 
-// Validate sizes every grid cell with Solve, replays both the chosen
-// sizing and its minimality witness through the full closed-loop
-// simulator (attack-free) at every seed, and reports whether the
-// simulator agrees with the planner's feasibility boundary. Runs fan out
-// over the sweep engine; results are returned in grid order and are
-// identical for every worker count.
-func Validate(slo spec.SLO, opts ValidateOptions) ([]CellResult, error) {
-	v, err := NewValidation(slo, opts)
-	if err != nil {
-		return nil, err
-	}
-	sweepOpts := sweep.Options{Workers: opts.Workers, Progress: opts.Progress}
-	return sweep.Run(context.Background(), sweepOpts, v.Jobs(), func(_ context.Context, i int) (CellResult, error) {
-		return v.Run(i)
-	})
-}
-
 // simulate replays one sizing through the closed-loop simulator
-// attack-free and returns the client p99 and the drop fraction.
-func simulate(sys spec.System, traffic spec.Traffic, seed int64, duration, warmup time.Duration) (time.Duration, float64, error) {
+// attack-free and returns the client p99 and the drop fraction. A
+// non-nil arena backs the run's stats and is Reset once both numbers
+// have been read from the Report, which holds only heap copies.
+func simulate(a *stats.Arena, sys spec.System, traffic spec.Traffic, seed int64, duration, warmup time.Duration) (time.Duration, float64, error) {
+	if a != nil {
+		defer a.Reset()
+	}
 	cfg := core.DefaultConfig()
+	cfg.Arena = a
 	cfg.Attack = nil
 	cfg.Seed = seed
 	cfg.Duration = duration

@@ -6,12 +6,13 @@
 // experiment is reproducible from a seed, and the engine never consults
 // wall-clock time.
 //
-// The engine's hot path is allocation-free in steady state: events live by
-// value in an index-addressed 4-ary min-heap, cancellation handles are
-// value types addressing a generation-checked slot table, and freed slots
-// are recycled through a free list. Model code that needs per-event
-// context without allocating a closure uses the Actor scheduling path
-// (ScheduleCall/AtCall).
+// The engine's hot path is allocation-free in steady state: the
+// index-addressed 4-ary min-heap holds pointer-free (at, seq, id) keys,
+// each event's callback and arg live in a generation-checked slot table
+// under its id, cancellation handles are value types addressing that
+// table, and freed slots are recycled through a free list. Model code
+// that needs per-event context without allocating a closure uses the
+// Actor scheduling path (ScheduleCall/AtCall).
 package sim
 
 import (
@@ -65,32 +66,34 @@ func (ev Event) Canceled() bool {
 	return ev.e.canceled(ev.id, ev.gen)
 }
 
-// event is one queued entry in the engine's heap, stored by value.
-// Exactly one of fn and actor is set.
-type event struct {
-	at    time.Duration
-	seq   uint64
-	fn    func()
-	actor Actor
-	arg   any
-	id    int32
+// key is one queued entry in the engine's heap: the (at, seq) order plus
+// the id of the slot holding the callback. It is pointer-free, so sift
+// loops move 24-byte values the garbage collector never scans.
+type key struct {
+	at  time.Duration
+	seq uint64
+	id  int32
 }
 
 // before is the heap order: (at, seq) ascending, so simultaneous events
 // fire in scheduling order (deterministic FIFO tie-break). seq is unique,
 // making the order total — heap arity therefore cannot change pop order.
-func (a *event) before(b *event) bool {
+func (a key) before(b key) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// slot is the cancellation-table entry backing one event id. pos tracks
-// the event's current heap index so Cancel is O(1); gen distinguishes
-// reuses of the same id so stale handles are inert.
+// slot is the table entry backing one event id: the callback (exactly one
+// of fn and actor is set while queued) and the cancellation state. gen
+// distinguishes reuses of the same id so stale handles are inert; every
+// pop advances it, so a handle's gen matches only while its event is
+// queued.
 type slot struct {
-	pos      int32 // heap index, -1 while free
+	fn       func()
+	actor    Actor
+	arg      any
 	gen      uint32
 	canceled bool
 	// lastCanceled remembers whether the generation that most recently
@@ -107,11 +110,11 @@ type Engine struct {
 	seq uint64
 	rng *rand.Rand
 
-	// heap is an index-addressed 4-ary min-heap of event values. 4-ary
-	// beats binary here: pops dominate (every push is eventually popped),
-	// and the shallower tree trades a few extra comparisons per level for
-	// half the levels and better cache locality on the value slice.
-	heap  []event
+	// heap is an index-addressed 4-ary min-heap of keys. 4-ary beats
+	// binary here: pops dominate (every push is eventually popped), and
+	// the shallower tree trades a few extra comparisons per level for
+	// half the levels and better cache locality on the key slice.
+	heap  []key
 	slots []slot
 	free  []int32 // free slot ids, reused LIFO
 
@@ -207,33 +210,30 @@ func (e *Engine) push(t time.Duration, fn func(), actor Actor, arg any) Event {
 		id = int32(len(e.slots) - 1)
 	}
 	s := &e.slots[id]
-	s.canceled = false
-	ev := event{at: t, seq: e.seq, fn: fn, actor: actor, arg: arg, id: id}
+	s.fn, s.actor, s.arg = fn, actor, arg
+	e.heap = append(e.heap, key{at: t, seq: e.seq, id: id})
 	e.seq++
-	e.heap = append(e.heap, ev)
 	e.siftUp(len(e.heap) - 1)
 	return Event{e: e, id: id, gen: s.gen, at: t}
 }
 
 // siftUp moves heap[i] toward the root until the order is restored.
 func (e *Engine) siftUp(i int) {
-	ev := e.heap[i]
+	k := e.heap[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !ev.before(&e.heap[parent]) {
+		if !k.before(e.heap[parent]) {
 			break
 		}
 		e.heap[i] = e.heap[parent]
-		e.slots[e.heap[i].id].pos = int32(i)
 		i = parent
 	}
-	e.heap[i] = ev
-	e.slots[ev.id].pos = int32(i)
+	e.heap[i] = k
 }
 
 // siftDown moves heap[i] toward the leaves until the order is restored.
 func (e *Engine) siftDown(i int) {
-	ev := e.heap[i]
+	k := e.heap[i]
 	n := len(e.heap)
 	for {
 		first := 4*i + 1
@@ -246,56 +246,50 @@ func (e *Engine) siftDown(i int) {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if e.heap[c].before(&e.heap[best]) {
+			if e.heap[c].before(e.heap[best]) {
 				best = c
 			}
 		}
-		if !e.heap[best].before(&ev) {
+		if !e.heap[best].before(k) {
 			break
 		}
 		e.heap[i] = e.heap[best]
-		e.slots[e.heap[i].id].pos = int32(i)
 		i = best
 	}
-	e.heap[i] = ev
-	e.slots[ev.id].pos = int32(i)
+	e.heap[i] = k
 }
 
-// popTop removes heap[0], returning its value and releasing its slot. The
-// vacated tail entry is zeroed so the heap does not retain callbacks or
-// args beyond the event's lifetime.
-func (e *Engine) popTop() event {
+// popTop removes heap[0] and releases its slot, returning the slot as it
+// stood before release (callback, arg and cancellation state). The table
+// entry's fn/actor/arg are cleared so nothing outlives the event.
+func (e *Engine) popTop() (key, slot) {
 	top := e.heap[0]
 	n := len(e.heap) - 1
 	if n > 0 {
 		e.heap[0] = e.heap[n]
 	}
-	e.heap[n] = event{}
 	e.heap = e.heap[:n]
 	if n > 0 {
 		e.siftDown(0)
 	}
 	s := &e.slots[top.id]
+	fired := *s
+	s.fn, s.actor, s.arg = nil, nil, nil
 	s.lastCanceled = s.canceled
 	s.canceled = false
 	s.gen++
-	s.pos = -1
 	e.free = append(e.free, top.id)
-	return top
+	return top, fired
 }
 
-// cancel marks the event live under (id, gen) as canceled. The entry stays
-// in the heap and is discarded when popped (lazy cancellation keeps the
-// Pending semantics of the original engine).
+// cancel marks the event queued under (id, gen) as canceled; gen matches
+// only while that event is queued. The key stays in the heap and is
+// discarded when popped (lazy cancellation keeps the Pending semantics of
+// the original engine).
 func (e *Engine) cancel(id int32, gen uint32) {
-	if int(id) >= len(e.slots) {
-		return
+	if int(id) < len(e.slots) && e.slots[id].gen == gen {
+		e.slots[id].canceled = true
 	}
-	s := &e.slots[id]
-	if s.gen != gen || s.pos < 0 {
-		return
-	}
-	s.canceled = true
 }
 
 // canceled reports the cancellation state for handle (id, gen).
@@ -320,17 +314,16 @@ func (e *Engine) canceled(id int32, gen uint32) bool {
 //memca:hotpath
 func (e *Engine) Step() bool {
 	for len(e.heap) > 0 {
-		canceled := e.slots[e.heap[0].id].canceled
-		ev := e.popTop()
-		if canceled {
+		k, s := e.popTop()
+		if s.canceled {
 			continue
 		}
-		e.now = ev.at
+		e.now = k.at
 		e.processed++
-		if ev.fn != nil {
-			ev.fn()
+		if s.fn != nil {
+			s.fn()
 		} else {
-			ev.actor.Act(ev.arg)
+			s.actor.Act(s.arg)
 		}
 		return true
 	}

@@ -82,3 +82,47 @@ func TestArenaBudgetSpillAccounting(t *testing.T) {
 		t.Fatalf("recycled slabs re-counted as spills: %d -> %d", spillsBefore, st.Spills)
 	}
 }
+
+// TestArenaTrimDropsLargestSlabsFirst pins the pool's retention rule:
+// trimming releases pooled slabs largest class first, un-accounts their
+// bytes, keeps the smaller warm slabs, and leaves the arena serving
+// exact records.
+func TestArenaTrimDropsLargestSlabsFirst(t *testing.T) {
+	a := NewArena()
+	// One pooled slab each of 1024, 4096 and 16384 durations: 8, 32 and
+	// 128 KiB.
+	for _, n := range []int{1 << 10, 1 << 12, 1 << 14} {
+		a.putDur(a.getDur(n))
+	}
+	if got := a.Stats().OwnedBytes; got != 168<<10 {
+		t.Fatalf("owned %d bytes before trim, want %d", got, 168<<10)
+	}
+	a.trim(100 << 10)
+	if got := a.Stats().OwnedBytes; got != 40<<10 {
+		t.Fatalf("owned %d bytes after trim, want %d", got, 40<<10)
+	}
+	if len(a.durFree[14]) != 0 || len(a.durFree[12]) != 1 || len(a.durFree[10]) != 1 {
+		t.Fatalf("trim kept classes 10/12/14 = %d/%d/%d slabs, want 1/1/0",
+			len(a.durFree[10]), len(a.durFree[12]), len(a.durFree[14]))
+	}
+	s := a.Sample(1 << 14)
+	for i := 0; i < 1<<14; i++ {
+		s.Add(time.Duration(i))
+	}
+	if s.Len() != 1<<14 || s.Quantile(1) != time.Duration(1<<14-1) {
+		t.Fatalf("trimmed arena recorded %d values, max %v", s.Len(), s.Quantile(1))
+	}
+}
+
+// TestPutArenaCapsPooledStorage checks that an arena goes back to the
+// process-wide pool owning at most poolRetainBytes, so one large run does
+// not pin its slabs for the life of the process.
+func TestPutArenaCapsPooledStorage(t *testing.T) {
+	a := NewArena()
+	a.putDur(a.getDur(1 << minClassBits))
+	a.putPts(a.getPts(int(poolRetainBytes / ptBytes)))
+	PutArena(a)
+	if got, want := a.Stats().OwnedBytes, int64(8<<10); got != want {
+		t.Fatalf("pooled arena owns %d bytes, want %d (only the small slab kept)", got, want)
+	}
+}

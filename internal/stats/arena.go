@@ -375,6 +375,26 @@ func (a *Arena) Reset() {
 	a.scratch = nil
 }
 
+// trim releases pooled slabs, largest class first, until the arena owns
+// at most limit bytes. Only free-list slabs go, so it follows a Reset.
+func (a *Arena) trim(limit int64) {
+	for b := slabClasses - 1; b >= minClassBits && a.ownedBytes > limit; b-- {
+		trimClass(a, &a.durFree[b], durBytes<<b, limit)
+		trimClass(a, &a.ptFree[b], ptBytes<<b, limit)
+		trimClass(a, &a.u64Free[b], u64Bytes<<b, limit)
+	}
+}
+
+// trimClass drops slabs of one class, each slabBytes large, until the
+// arena owns at most limit bytes or the class is empty.
+func trimClass[T any](a *Arena, free *[][]T, slabBytes, limit int64) {
+	for k := len(*free); k > 0 && a.ownedBytes > limit; k-- {
+		(*free)[k-1] = nil
+		*free = (*free)[:k-1]
+		a.ownedBytes -= slabBytes
+	}
+}
+
 // growValues moves s.values to a slab with room for at least need
 // elements, preserving contents. Arena-backed samples only.
 func (s *Sample) growValues(need int) {
@@ -459,13 +479,23 @@ func GetArena() *Arena {
 	return NewArena()
 }
 
-// PutArena resets a and returns it to the process-wide pool. The caller
+// poolRetainBytes caps the slab storage an arena keeps while it waits in
+// the process-wide pool. Every figure reuses warm slabs across its own
+// jobs, which all run on the arena its worker holds; past the cap,
+// PutArena hands the largest pooled slabs back to the garbage collector,
+// so one driver's long runs do not pin their storage for the life of the
+// process.
+const poolRetainBytes = 64 << 20
+
+// PutArena resets a, releases its pooled slabs past poolRetainBytes
+// (largest first), and returns it to the process-wide pool. The caller
 // must hold no live handles into it.
 func PutArena(a *Arena) {
 	if a == nil {
 		return
 	}
 	a.Reset()
+	a.trim(poolRetainBytes)
 	arenaPool.mu.Lock()
 	arenaPool.free = append(arenaPool.free, a)
 	arenaPool.mu.Unlock()
