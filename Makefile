@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-budget test race equivalence dsweep-smoke fuzz bench bench-baseline bench-smoke figures quick-figures trace demo demo-smoke plan-smoke clean
+.PHONY: all build vet lint test race equivalence dsweep-smoke fuzz bench bench-baseline bench-smoke figures quick-figures trace demo demo-smoke plan-smoke clean
 
 all: build vet lint test
 
@@ -12,17 +12,11 @@ vet:
 
 # memca-lint is the project's custom analyzer suite (sim determinism,
 # clock discipline, float comparison, dropped errors, hot-path allocation
-# discipline, atomic-access discipline) plus the allocbound escape-budget
-# gate over the zero-alloc packages; see DESIGN.md. On budget drift, fix
-# the allocation or accept it with `make lint-budget` and commit the
-# regenerated internal/lint/testdata/escape_budget.json.
+# discipline, atomic-access discipline); see DESIGN.md. Zero-allocation
+# contracts are runtime properties, held by the AllocsPerRun tests under
+# `make test` and the allocs/op gate under `make bench`.
 lint:
 	$(GO) run ./cmd/memca-lint ./...
-
-# Deliberate escape-budget refresh: re-run the compiler's escape analysis
-# over the budgeted packages and rewrite the checked-in budget in place.
-lint-budget:
-	$(GO) run ./cmd/memca-lint -update-budget
 
 test:
 	$(GO) test ./...
@@ -46,14 +40,15 @@ equivalence:
 dsweep-smoke:
 	$(GO) run ./cmd/memca-sweep smoke
 
-# Short fuzz passes over the file-facing config schema and the stats
-# kernels (seed corpora are checked in under the packages'
-# testdata/fuzz). FUZZTIME tunes the per-target budget.
+# Short fuzz passes over the file-facing config schema, the stats kernels
+# and the X-Memca-Trace header codec (seed corpora are checked in under the
+# packages' testdata/fuzz). FUZZTIME tunes the per-target budget.
 FUZZTIME = 30s
 fuzz:
 	$(GO) test -run FuzzConfigJSON -fuzz FuzzConfigJSON -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzHistogramAdd -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzSampleQuantile -fuzztime $(FUZZTIME) ./internal/stats
+	$(GO) test -run '^$$' -fuzz FuzzParseTraceHeader -fuzztime $(FUZZTIME) ./internal/telemetry/live
 
 # Engine performance regression report and gate: run the kernel and
 # headline-figure benchmarks for real (default benchtime), diff them

@@ -4,9 +4,8 @@
 // simulated/wall clock boundary, epsilon float comparison, no silently
 // dropped errors, the //memca:hotpath allocation discipline, and the
 // atomic-access discipline — and exits non-zero on any finding so it can
-// gate CI. On top of the AST suite it runs the allocbound escape-budget
-// gate: the compiler's escape analysis over the hot-path packages must
-// match the checked-in budget (internal/lint/testdata/escape_budget.json).
+// gate CI. Zero-allocation contracts are not checked here: the
+// AllocsPerRun tests and the benchjson gate enforce them at run time.
 //
 // Usage:
 //
@@ -14,7 +13,7 @@
 //	go run ./cmd/memca-lint -analyzers simdeterminism,clockdiscipline ./internal/...
 //	go run ./cmd/memca-lint -json ./...            # JSON Lines output
 //	go run ./cmd/memca-lint -github ./...          # GitHub annotations
-//	go run ./cmd/memca-lint -update-budget         # accept current escapes
+//	go run ./cmd/memca-lint -list                  # list the analyzers
 package main
 
 import (
@@ -28,13 +27,10 @@ import (
 
 func main() {
 	var (
-		names        = flag.String("analyzers", "", "comma-separated analyzer subset (default: all, plus the allocbound budget gate)")
-		list         = flag.Bool("list", false, "list available analyzers and exit")
-		jsonOut      = flag.Bool("json", false, "emit machine-readable JSON Lines (file, line, col, analyzer, message)")
-		github       = flag.Bool("github", false, "emit GitHub Actions ::error annotations alongside the plain findings")
-		updateBudget = flag.Bool("update-budget", false, "regenerate the escape budget from the current code and exit")
-		budgetPath   = flag.String("escape-budget", lint.DefaultBudgetPath, "escape budget file, relative to the working directory")
-		skipBudget   = flag.Bool("skip-budget", false, "skip the allocbound escape-budget gate (AST analyzers only)")
+		names   = flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
+		list    = flag.Bool("list", false, "list available analyzers and exit")
+		jsonOut = flag.Bool("json", false, "emit machine-readable JSON Lines (file, line, col, analyzer, message)")
+		github  = flag.Bool("github", false, "emit GitHub Actions ::error annotations alongside the plain findings")
 	)
 	flag.Parse()
 
@@ -43,7 +39,6 @@ func main() {
 		for _, a := range analyzers {
 			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
 		}
-		fmt.Printf("%-16s %s\n", "allocbound", "no heap escapes in hot-path packages beyond the checked-in budget")
 		return
 	}
 
@@ -51,26 +46,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := lint.DefaultConfig()
 
-	if *updateBudget {
-		n, err := lint.WriteBudget(wd, *budgetPath, cfg.EscapeBudget)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("memca-lint: wrote %s: %d accepted escape(s) across %d package(s)\n", *budgetPath, n, len(cfg.EscapeBudget))
-		return
-	}
-
-	runBudget := !*skipBudget
 	if *names != "" {
 		want := make(map[string]bool)
 		for _, n := range strings.Split(*names, ",") {
 			want[strings.TrimSpace(n)] = true
 		}
-		// allocbound is not an AST analyzer; it runs iff selected.
-		runBudget = want["allocbound"]
-		delete(want, "allocbound")
 		var sel []*lint.Analyzer
 		for _, a := range analyzers {
 			if want[a.Name] {
@@ -94,18 +75,7 @@ func main() {
 		fatal(err)
 	}
 
-	diags := lint.Run(pkgs, analyzers, cfg)
-
-	if runBudget {
-		budgetDiags, stale, err := lint.CheckEscapeBudget(wd, *budgetPath, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		diags = append(diags, budgetDiags...)
-		for _, note := range stale {
-			fmt.Fprintf(os.Stderr, "memca-lint: note: %s\n", note)
-		}
-	}
+	diags := lint.Run(pkgs, analyzers, lint.DefaultConfig())
 
 	switch {
 	case *jsonOut:
@@ -125,23 +95,8 @@ func main() {
 
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "memca-lint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
-		if hasAnalyzer(diags, "allocbound") {
-			fmt.Fprintln(os.Stderr, "memca-lint: escape budget drift: the hot path gained heap escapes.")
-			fmt.Fprintln(os.Stderr, "memca-lint: fix the allocation, or accept it deliberately with:")
-			fmt.Fprintln(os.Stderr, "memca-lint:     go run ./cmd/memca-lint -update-budget")
-			fmt.Fprintln(os.Stderr, "memca-lint: and commit the regenerated "+*budgetPath)
-		}
 		os.Exit(1)
 	}
-}
-
-func hasAnalyzer(diags []lint.Diagnostic, name string) bool {
-	for _, d := range diags {
-		if d.Analyzer == name {
-			return true
-		}
-	}
-	return false
 }
 
 func fatal(err error) {

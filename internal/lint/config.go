@@ -23,11 +23,6 @@ type Config struct {
 	// coverage completeness test requires every internal package to be
 	// classified into exactly one of the three lists.
 	Tools []string
-
-	// EscapeBudget lists the import paths under the allocbound gate: the
-	// zero-alloc hot-path packages whose compiler escape analysis must
-	// match the checked-in budget file. Entries are exact import paths.
-	EscapeBudget []string
 }
 
 // DefaultConfig returns the project policy.
@@ -96,15 +91,6 @@ func DefaultConfig() *Config {
 		},
 		Tools: []string{
 			"memca/internal/lint",
-		},
-		EscapeBudget: []string{
-			"memca/internal/memmodel",
-			"memca/internal/queueing",
-			"memca/internal/sim",
-			"memca/internal/stats",
-			"memca/internal/telemetry",
-			"memca/internal/telemetry/live",
-			"memca/internal/workload",
 		},
 	}
 }

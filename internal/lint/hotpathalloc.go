@@ -108,7 +108,8 @@ func markedHotPath(decls map[*types.Func]*ast.FuncDecl) map[*types.Func]bool {
 // reachableFuncs closes the marked set over intra-package static calls:
 // calls to package-level functions and methods declared in this package.
 // Calls through interfaces, function values, and other packages are outside
-// the closure (conservatively unchecked — allocbound still sees them).
+// the closure (unchecked here — the AllocsPerRun test covering each root
+// still counts their allocations at run time).
 func reachableFuncs(pkg *Package, decls map[*types.Func]*ast.FuncDecl, roots map[*types.Func]bool) map[*types.Func]bool {
 	hot := make(map[*types.Func]bool, len(roots))
 	var queue []*types.Func

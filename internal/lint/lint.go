@@ -17,9 +17,11 @@
 //   - atomicmix: a variable accessed through sync/atomic anywhere in a
 //     package is never read or written plainly elsewhere in that package,
 //     and typed atomics are never copied by value.
-//   - allocbound (wired through cmd/memca-lint, not a per-package AST
-//     pass): the compiler's own escape analysis over the hot-path packages
-//     must match the checked-in budget; any new heap escape fails lint.
+//
+// Zero-allocation contracts themselves are runtime properties: the
+// testing.AllocsPerRun tests beside each //memca:hotpath root and the
+// benchjson allocation gate enforce them; hotpathalloc only flags the
+// alloc-prone construct at the line that introduces it.
 //
 // The analyzers are built on the standard library only (go/parser, go/types
 // with compiled export data from `go list -export`), so the suite adds no

@@ -132,13 +132,6 @@ func TestDefaultConfigPolicy(t *testing.T) {
 			t.Errorf("tool package %q is also under a sim/clock contract", p)
 		}
 	}
-	// Every escape-budgeted package is on the sim path: the zero-alloc
-	// contract is a property of the measurement path.
-	for _, p := range cfg.EscapeBudget {
-		if !cfg.IsSimPath(p) && !cfg.IsClockAllowed(p) {
-			t.Errorf("escape-budgeted package %q is unclassified", p)
-		}
-	}
 }
 
 // TestRunOrdersDiagnostics pins the stable output order the CLI relies on.

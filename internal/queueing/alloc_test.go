@@ -9,32 +9,52 @@ import (
 
 // TestSubmitRecycleZeroAllocs pins the request-pooling contract: once the
 // pools and stats buffers are warm, a submit → service → complete →
-// recycle round trip performs no heap allocations. (Stats-history appends
-// still double occasionally; the integer-averaged AllocsPerRun result
-// absorbs that amortized tail.)
+// recycle round trip performs no heap allocations, including an attack
+// burst's capacity flanks (multiplier and scale changes that reschedule
+// the in-flight service) and, with a hop delay, the network's own hop
+// events. (Stats-history appends still double occasionally; the
+// integer-averaged AllocsPerRun result absorbs that amortized tail.)
 func TestSubmitRecycleZeroAllocs(t *testing.T) {
-	e := sim.NewEngine(11)
-	n := singleTier(t, e, Infinite, 1, 50*time.Microsecond)
-	completions := 0
-	onComplete := func(*Request) { completions++ }
-	submitOne := func() {
-		if _, err := n.Submit(SubmitOpts{Class: 0, OnComplete: onComplete}); err != nil {
-			t.Fatalf("Submit: %v", err)
+	for _, hop := range []sim.Dist{nil, sim.NewDeterministic(10 * time.Microsecond)} {
+		e := sim.NewEngine(11)
+		n, err := New(e, Config{
+			Mode:     ModeNTierRPC,
+			Tiers:    []TierConfig{{Name: "only", QueueLimit: Infinite, Servers: 1, Service: sim.NewExponential(50 * time.Microsecond)}},
+			Classes:  []Class{{Name: "basic", Depth: 0}},
+			HopDelay: hop,
+		})
+		if err != nil {
+			t.Fatalf("New: %v", err)
 		}
-		if err := e.RunAll(100); err != nil {
-			t.Fatalf("RunAll: %v", err)
+		completions := 0
+		onComplete := func(*Request) { completions++ }
+		submitOne := func() {
+			if _, err := n.Submit(SubmitOpts{Class: 0, OnComplete: onComplete}); err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			for _, f := range [...]float64{0.5, 1} {
+				if err := n.SetCapacityMultiplier(0, f); err != nil {
+					t.Fatalf("SetCapacityMultiplier: %v", err)
+				}
+				if err := n.SetCapacityScale(0, f); err != nil {
+					t.Fatalf("SetCapacityScale: %v", err)
+				}
+			}
+			if err := e.RunAll(100); err != nil {
+				t.Fatalf("RunAll: %v", err)
+			}
 		}
-	}
-	// Warm the request/run pools and grow the stats buffers.
-	for i := 0; i < 4096; i++ {
-		submitOne()
-	}
-	allocs := testing.AllocsPerRun(10000, submitOne)
-	if allocs != 0 {
-		t.Errorf("submit/complete/recycle allocates %v objects/op, want 0", allocs)
-	}
-	if completions == 0 {
-		t.Error("no completions observed")
+		// Warm the request/run pools and grow the stats buffers.
+		for i := 0; i < 4096; i++ {
+			submitOne()
+		}
+		allocs := testing.AllocsPerRun(10000, submitOne)
+		if allocs != 0 {
+			t.Errorf("hop delay %v: submit/flank/complete/recycle allocates %v objects/op, want 0", hop, allocs)
+		}
+		if completions == 0 {
+			t.Errorf("hop delay %v: no completions observed", hop)
+		}
 	}
 }
 

@@ -39,18 +39,21 @@ func TestSchedulePopZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestScheduleCallZeroAllocs pins the Actor path, including the int-arg
-// conversion to `any` (allocation-free for values below 256).
+// TestScheduleCallZeroAllocs pins the Actor path, relative and absolute,
+// including the int-arg conversion to `any` (allocation-free for values
+// below 256).
 func TestScheduleCallZeroAllocs(t *testing.T) {
 	e := NewEngine(1)
 	warmEngine(t, e, 1024)
 	a := &sumActor{}
 	allocs := testing.AllocsPerRun(10000, func() {
 		e.ScheduleCall(time.Microsecond, a, 7)
+		e.AtCall(e.Now()+time.Microsecond, a, 7)
+		e.Step()
 		e.Step()
 	})
 	if allocs != 0 {
-		t.Errorf("ScheduleCall+Step allocates %v objects/op, want 0", allocs)
+		t.Errorf("ScheduleCall+AtCall+Step allocates %v objects/op, want 0", allocs)
 	}
 	if a.sum == 0 {
 		t.Error("actor never fired")

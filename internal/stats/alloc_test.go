@@ -20,6 +20,7 @@ func statsPass(a *Arena) {
 		s.Add(d)
 		h.Add(d)
 		li.Set(time.Duration(i)*time.Millisecond, float64(i%3))
+		li.Add(time.Duration(i)*time.Millisecond, 1)
 		ts.Add(time.Duration(i)*time.Millisecond, float64(i%7))
 	}
 	_ = s.Quantile(0.99) // radix path: n >= radixMinLen

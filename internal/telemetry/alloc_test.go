@@ -8,12 +8,11 @@ import (
 	"memca/internal/sim"
 )
 
-// TestTracedSubmitZeroAllocs pins the enabled-path allocation contract:
-// once the tracer's slabs and the network's pools are warm, a fully
-// traced submit → service → complete round trip — slot claim, per-tier
-// stamps, event-ring pushes, tail/head sampling, timeline booking, slot
-// recycle — performs no heap allocations.
-func TestTracedSubmitZeroAllocs(t *testing.T) {
+// allocTracedNetwork wires a fully featured tracer (timelines, feature
+// windows, tail and head sampling) into a one-tier network whose tier
+// holds queueLimit requests.
+func allocTracedNetwork(t *testing.T, queueLimit int) (*sim.Engine, *queueing.Network, *Tracer) {
+	t.Helper()
 	e := sim.NewEngine(11)
 	spec := Spec{
 		MaxActive:   256,
@@ -34,7 +33,7 @@ func TestTracedSubmitZeroAllocs(t *testing.T) {
 	n, err := queueing.New(e, queueing.Config{
 		Mode: queueing.ModeNTierRPC,
 		Tiers: []queueing.TierConfig{{
-			Name: "front", QueueLimit: queueing.Infinite, Servers: 1,
+			Name: "front", QueueLimit: queueLimit, Servers: 1,
 			Service: sim.NewDeterministic(50 * time.Microsecond),
 		}},
 		Classes:  []queueing.Class{{Name: "static", Depth: 0}},
@@ -43,6 +42,16 @@ func TestTracedSubmitZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("queueing.New: %v", err)
 	}
+	return e, n, tr
+}
+
+// TestTracedSubmitZeroAllocs pins the enabled-path allocation contract:
+// once the tracer's slabs and the network's pools are warm, a fully
+// traced submit → service → complete round trip — slot claim, per-tier
+// stamps, event-ring pushes, tail/head sampling, timeline booking, slot
+// recycle — performs no heap allocations.
+func TestTracedSubmitZeroAllocs(t *testing.T) {
+	e, n, tr := allocTracedNetwork(t, queueing.Infinite)
 	submitOne := func() {
 		if _, err := n.Submit(queueing.SubmitOpts{Class: 0}); err != nil {
 			t.Fatalf("Submit: %v", err)
@@ -65,5 +74,42 @@ func TestTracedSubmitZeroAllocs(t *testing.T) {
 	}
 	if tr.Untracked() != 0 {
 		t.Errorf("untracked = %d, want 0 (MaxActive never exceeded)", tr.Untracked())
+	}
+}
+
+// TestTracedDropAbandonZeroAllocs pins the workload generator's hook path:
+// a dropped attempt leaves its trace pending, and RetransmitScheduled and
+// then Abandon on that pending trace — which closes it through the
+// timelines, feature windows and samplers — perform no heap allocations.
+func TestTracedDropAbandonZeroAllocs(t *testing.T) {
+	e, n, tr := allocTracedNetwork(t, 1)
+	var dropped uint64
+	onDrop := func(req *queueing.Request) { dropped = req.TraceID }
+	dropOne := func() {
+		dropped = 0
+		if _, err := n.Submit(queueing.SubmitOpts{Class: 0}); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		if _, err := n.Submit(queueing.SubmitOpts{Class: 0, OnDrop: onDrop}); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		if dropped == 0 {
+			t.Fatal("second submission was not dropped")
+		}
+		tr.RetransmitScheduled(dropped, 1, e.Now()+time.Millisecond)
+		tr.Abandon(dropped)
+		if err := e.RunAll(100); err != nil {
+			t.Fatalf("RunAll: %v", err)
+		}
+	}
+	for i := 0; i < 4096; i++ {
+		dropOne()
+	}
+	allocs := testing.AllocsPerRun(10000, dropOne)
+	if allocs != 0 {
+		t.Errorf("traced drop/retransmit/abandon allocates %v objects/op, want 0", allocs)
+	}
+	if got, want := tr.Aggregate().Abandoned, tr.Closed()/2; got != want {
+		t.Errorf("abandoned = %d, want %d (every other closed trace)", got, want)
 	}
 }

@@ -7,9 +7,10 @@ package live
 // arriving without the header are served but not traced.
 const TraceHeader = "X-Memca-Trace"
 
-// FormatTraceHeader renders trace context into the wire form.
-// Allocation-free for IDs/attempts in the int64 range of a demo run is not
-// required here — this runs only on the traced path.
+// FormatTraceHeader renders trace context into the wire form. It allocates
+// the returned string and runs once per traced outbound hop; only
+// ParseTraceHeader, which every tier runs on every inbound request, is held
+// to zero allocations.
 func FormatTraceHeader(traceID uint64, attempt int) string {
 	buf := make([]byte, 0, 24)
 	buf = appendUint(buf, traceID)

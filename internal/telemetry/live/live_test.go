@@ -259,16 +259,16 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecordZeroAllocs pins the hot-path contract: recording a span event
-// into the pre-sized log performs no heap allocations, and neither does
-// parsing trace context out of a header value.
+// TestRecordZeroAllocs pins the hot-path contract: minting a trace ID and
+// recording a span event into the pre-sized log perform no heap
+// allocations, and neither does parsing trace context out of a header
+// value.
 func TestRecordZeroAllocs(t *testing.T) {
 	c := newTestCollector(t, 1<<20)
-	id := c.NextTraceID()
 	if allocs := testing.AllocsPerRun(10000, func() {
-		c.Record(id, KindTierRequest, 0, 0, 0)
+		c.Record(c.NextTraceID(), KindTierRequest, 0, 0, 0)
 	}); allocs != 0 {
-		t.Errorf("Record allocates %v objects/op, want 0", allocs)
+		t.Errorf("NextTraceID+Record allocates %v objects/op, want 0", allocs)
 	}
 	h := FormatTraceHeader(123456, 2)
 	if allocs := testing.AllocsPerRun(10000, func() {
